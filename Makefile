@@ -64,11 +64,9 @@ fuzz-seeds:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# Regenerate the committed performance artifact (see BENCHMARKS.md). The
-# partitioned section compiles the clustered workload whole and split so
-# the artifact records whether partitioning pays on this machine.
+# Regenerate the committed performance artifact (see BENCHMARKS.md).
 bench-json:
-	$(GO) run ./cmd/tqecbench -bench-out BENCH_seed.json -bench-iters 3 -bench-kernels -bench-partition 6
+	$(GO) run ./cmd/tqecbench -bench-out BENCH_seed.json -bench-iters 3 -bench-kernels
 
 # One-iteration bench run into a scratch file: exercises the full
 # measurement path and proves the JSON schema round-trips (-bench-out

@@ -56,7 +56,6 @@ func main() {
 	benchOut := flag.String("bench-out", "", "write a BENCH_*.json performance artifact to this path and exit")
 	benchIters := flag.Int("bench-iters", 3, "pipeline runs per circuit for -bench-out")
 	benchKernels := flag.Bool("bench-kernels", false, "also measure the isolated place/route kernels for -bench-out")
-	benchPartition := flag.Int("bench-partition", 0, "also measure whole vs partitioned compiles of a generated clustered circuit (4 rings of this many qubits) for -bench-out (0 = skip)")
 	compare := flag.Bool("compare", false, "compare two BENCH_*.json artifacts (old new); exit non-zero on regression")
 	compareWarn := flag.Bool("compare-warn", false, "with -compare, report regressions but exit zero (informational CI step)")
 	compareKernelsOnly := flag.Bool("compare-kernels-only", false, "compare only the isolated kernel ns/op measurements (the blocking CI gate)")
@@ -71,7 +70,7 @@ func main() {
 		return
 	}
 	if *benchOut != "" {
-		if err := runBench(*benchOut, *benchmarks, *full, *benchIters, *seed, *benchKernels, *benchPartition); err != nil {
+		if err := runBench(*benchOut, *benchmarks, *full, *benchIters, *seed, *benchKernels); err != nil {
 			fatal(err)
 		}
 		return
@@ -173,7 +172,7 @@ func figures(which string, all bool, seed int64, cfg harness.Config) error {
 
 // runBench produces a BENCH_*.json artifact, reads it back and validates
 // it so a malformed write can never land in the trajectory.
-func runBench(out, benchmarks string, full bool, iters int, seed int64, kernels bool, partitionCap int) error {
+func runBench(out, benchmarks string, full bool, iters int, seed int64, kernels bool) error {
 	suite := harness.DefaultConfig().Benchmarks
 	if full {
 		suite = harness.FullConfig().Benchmarks
@@ -183,15 +182,14 @@ func runBench(out, benchmarks string, full bool, iters int, seed int64, kernels 
 	}
 	name := strings.TrimSuffix(filepath.Base(out), ".json")
 	name = strings.TrimPrefix(name, "BENCH_")
-	fmt.Fprintf(os.Stderr, "benchmarking %d circuit(s) × %d iteration(s) (kernels: %v, partition cap: %d)...\n",
-		len(suite), iters, kernels, partitionCap)
+	fmt.Fprintf(os.Stderr, "benchmarking %d circuit(s) × %d iteration(s) (kernels: %v)...\n",
+		len(suite), iters, kernels)
 	f, err := bench.Run(bench.Options{
-		Name:         name,
-		Suite:        suite,
-		Iterations:   iters,
-		Seed:         seed,
-		Kernels:      kernels,
-		PartitionCap: partitionCap,
+		Name:       name,
+		Suite:      suite,
+		Iterations: iters,
+		Seed:       seed,
+		Kernels:    kernels,
 	})
 	if err != nil {
 		return err
@@ -204,10 +202,6 @@ func runBench(out, benchmarks string, full bool, iters int, seed int64, kernels 
 	}
 	fmt.Printf("wrote %s: %d circuit(s), %d kernel(s), schema v%d\n",
 		out, len(f.Circuits), len(f.Kernels), f.Schema)
-	if p := f.Partitioned; p != nil {
-		fmt.Printf("partitioned %s (%d qubits, cap %d): whole %.2fms vs split %.2fms (x%.2f), %d part(s), %d seam(s)\n",
-			p.Circuit, p.Qubits, p.Cap, float64(p.Whole.MinNS)/1e6, float64(p.Split.MinNS)/1e6, p.Speedup, p.Parts, p.Seams)
-	}
 	return nil
 }
 

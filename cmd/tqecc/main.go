@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/partition"
 	"repro/internal/qc"
 	"repro/internal/viz"
 	"repro/tqec"
@@ -37,7 +36,6 @@ func main() {
 	vizMode := flag.String("viz", "", "emit a layout rendering: slices, csv, svg or obj")
 	out := flag.String("o", "", "visualization output file (default stdout)")
 	timeout := flag.Duration("timeout", 0, "abort compilation after this long (0 = no limit)")
-	partitionCap := flag.Int("partition", 0, "partitioned compile: max qubits per part (0 = whole-circuit compile)")
 	flag.Parse()
 
 	if *list {
@@ -70,11 +68,6 @@ func main() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-	if *partitionCap > 0 {
-		opts.Partition = partition.Options{MaxQubitsPerPart: *partitionCap, Seed: *seed}
-		runPartitioned(ctx, circuit, opts)
-		return
 	}
 	res, err := tqec.CompileContext(ctx, circuit, opts)
 	if err != nil {
@@ -130,39 +123,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-// runPartitioned compiles through the partitioned pipeline and prints the
-// combined geometry plus the per-part and seam summaries.
-func runPartitioned(ctx context.Context, circuit *qc.Circuit, opts tqec.Options) {
-	res, err := tqec.CompilePartitionedContext(ctx, circuit, opts)
-	if err != nil {
-		fatal(err)
-	}
-	if res.Degraded {
-		fmt.Fprintln(os.Stderr, "tqecc: warning: degraded routing in a part or the seam stitching")
-	}
-	parts, seams, largest := res.Partition.Stats()
-	fmt.Printf("circuit:   %s (%d qubits, %d gates)\n", circuit.Name, circuit.NumQubits(), circuit.NumGates())
-	fmt.Printf("partition: %d part(s), %d seam(s), largest part %d qubits (cap %d)\n",
-		parts, seams, largest, opts.Partition.MaxQubitsPerPart)
-	for i, part := range res.Parts {
-		src := &res.Partition.Parts[i]
-		if part == nil {
-			fmt.Printf("  part %d:  %d qubits, %d gates — no geometry (slab %v)\n",
-				i, len(src.Qubits), src.Circuit.NumGates(), res.Slabs[i])
-			continue
-		}
-		fmt.Printf("  part %d:  %d qubits, %d gates -> %s (volume %d), slab %v\n",
-			i, len(src.Qubits), src.Circuit.NumGates(), part.Dims, part.Volume, res.Slabs[i])
-	}
-	if sr := res.SeamRouting; sr != nil {
-		fmt.Printf("seams:     %d/%d routed (%d fallback, %d failed)\n",
-			len(sr.Routes), len(res.SeamNets), len(sr.FallbackNets), len(sr.Failed))
-	}
-	fmt.Printf("result:    %s  (canonical %d + boxes %d; compression x%.2f)\n",
-		res.Dims, res.CanonicalVolume, res.BoxVolume, res.CompressionRatio())
-	fmt.Printf("runtime breakdown:\n%s", res.Breakdown)
 }
 
 func loadCircuit(bench, realFile string) (*qc.Circuit, error) {

@@ -50,10 +50,6 @@ type File struct {
 	Circuits []Circuit `json:"circuits"`
 	// Kernels holds the isolated kernel measurements, in fixed order.
 	Kernels []Kernel `json:"kernels,omitempty"`
-	// Partitioned, when present, records the partitioned-compile stage:
-	// a generated clustered circuit compiled whole and split under the
-	// same options (see Options.PartitionCap).
-	Partitioned *Partitioned `json:"partitioned,omitempty"`
 }
 
 // Stat summarizes one wall-time measurement over the iterations. Min is
@@ -131,12 +127,6 @@ type Options struct {
 	// Kernels additionally runs the isolated placement/routing kernel
 	// benchmarks (slower: testing.Benchmark calibrates each for ~1s).
 	Kernels bool
-	// PartitionCap, when positive, additionally runs the
-	// partitioned-compile stage: a generated clustered circuit of four
-	// CNOT rings of PartitionCap qubits each is compiled whole and
-	// through the partitioned pipeline with this per-part cap, and both
-	// wall times land in File.Partitioned.
-	PartitionCap int
 	// Compile runs one full pipeline compilation and returns its result;
 	// it exists so the harness can be stubbed in tests. Nil uses the real
 	// tqec pipeline.
@@ -183,13 +173,6 @@ func RunContext(ctx context.Context, opts Options) (*File, error) {
 			return nil, fmt.Errorf("bench: kernels: %w", err)
 		}
 		f.Kernels = ks
-	}
-	if opts.PartitionCap > 0 {
-		p, err := runPartitioned(ctx, opts)
-		if err != nil {
-			return nil, fmt.Errorf("bench: partitioned: %w", err)
-		}
-		f.Partitioned = p
 	}
 	return f, nil
 }
@@ -354,20 +337,6 @@ func Validate(f *File) error {
 			return fmt.Errorf("kernel %q: ns/op %d", k.Name, k.NSPerOp)
 		}
 	}
-	if p := f.Partitioned; p != nil {
-		if p.Circuit == "" || p.Qubits <= 0 || p.Cap <= 0 || p.Parts <= 0 {
-			return fmt.Errorf("partitioned section: circuit %q, %d qubits, cap %d, %d parts", p.Circuit, p.Qubits, p.Cap, p.Parts)
-		}
-		if err := validStat(p.Whole); err != nil {
-			return fmt.Errorf("partitioned whole: %w", err)
-		}
-		if err := validStat(p.Split); err != nil {
-			return fmt.Errorf("partitioned split: %w", err)
-		}
-		if p.WholeVolume <= 0 || p.SplitVolume <= 0 {
-			return fmt.Errorf("partitioned volumes %d whole, %d split", p.WholeVolume, p.SplitVolume)
-		}
-	}
 	return nil
 }
 
@@ -471,13 +440,6 @@ func Compare(old, cur *File, threshold float64) (*Report, error) {
 		}
 	}
 	judgeKernels(rep, old, cur, judge)
-	switch {
-	case old.Partitioned != nil && cur.Partitioned != nil:
-		judge("partitioned/whole", old.Partitioned.Whole.MinNS, cur.Partitioned.Whole.MinNS)
-		judge("partitioned/split", old.Partitioned.Split.MinNS, cur.Partitioned.Split.MinNS)
-	case old.Partitioned != nil:
-		rep.Missing = append(rep.Missing, "partitioned section")
-	}
 	sort.Strings(rep.Missing)
 	return rep, nil
 }

@@ -150,10 +150,6 @@ func copyFile(f *File) *File {
 		out.Circuits[i].Stages = append([]StageTime(nil), f.Circuits[i].Stages...)
 	}
 	out.Kernels = append([]Kernel(nil), f.Kernels...)
-	if f.Partitioned != nil {
-		p := *f.Partitioned
-		out.Partitioned = &p
-	}
 	return &out
 }
 
@@ -241,108 +237,6 @@ func TestCompareKernelsJudgesOnlyKernels(t *testing.T) {
 	bare.Kernels = nil
 	if _, err := CompareKernels(bare, cur, 0.5); err == nil {
 		t.Fatal("kernel-less baseline accepted by the kernel gate")
-	}
-}
-
-// stubPartitioned fabricates a plausible partitioned-compile section.
-func stubPartitioned() *Partitioned {
-	return &Partitioned{
-		Circuit: "clustered24", Qubits: 24, Gates: 91, Cap: 6, Parts: 4, Seams: 3,
-		Whole:   Stat{MinNS: 4000, MeanNS: 4500, MaxNS: 5000},
-		Split:   Stat{MinNS: 2000, MeanNS: 2100, MaxNS: 2200},
-		Speedup: 2, WholeVolume: 100, SplitVolume: 120,
-	}
-}
-
-// TestValidateRejectsMalformedPartitioned covers the guard rails of the
-// optional partitioned section.
-func TestValidateRejectsMalformedPartitioned(t *testing.T) {
-	f := stubFile(t, 1)
-	f.Partitioned = stubPartitioned()
-	if err := Validate(f); err != nil {
-		t.Fatalf("well-formed partitioned section rejected: %v", err)
-	}
-	cases := map[string]func(*Partitioned){
-		"unnamed circuit": func(p *Partitioned) { p.Circuit = "" },
-		"zero cap":        func(p *Partitioned) { p.Cap = 0 },
-		"zero parts":      func(p *Partitioned) { p.Parts = 0 },
-		"zero whole stat": func(p *Partitioned) { p.Whole = Stat{} },
-		"inverted split":  func(p *Partitioned) { p.Split = Stat{MinNS: 10, MeanNS: 5, MaxNS: 20} },
-		"zero volume":     func(p *Partitioned) { p.SplitVolume = 0 },
-	}
-	for name, corrupt := range cases {
-		f := stubFile(t, 1)
-		f.Partitioned = stubPartitioned()
-		corrupt(f.Partitioned)
-		if err := Validate(f); err == nil {
-			t.Errorf("%s: Validate accepted a malformed partitioned section", name)
-		}
-	}
-}
-
-// TestComparePartitionedSection pins that the partitioned wall times are
-// judged like any other metric and a dropped section surfaces as missing
-// coverage.
-func TestComparePartitionedSection(t *testing.T) {
-	old := stubFile(t, 1)
-	old.Partitioned = stubPartitioned()
-	slow := copyFile(old)
-	slow.Partitioned.Split.MinNS *= 2
-	slow.Partitioned.Split.MeanNS *= 2
-	slow.Partitioned.Split.MaxNS *= 2
-	rep, err := Compare(old, slow, DefaultThreshold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := rep.Regressions()
-	if len(regs) != 1 || regs[0].Metric != "partitioned/split" {
-		t.Fatalf("2x split slowdown not flagged: %+v", regs)
-	}
-
-	bare := copyFile(old)
-	bare.Partitioned = nil
-	rep, err = Compare(old, bare, DefaultThreshold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, m := range rep.Missing {
-		if strings.Contains(m, "partitioned") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("dropped partitioned section not reported: %+v", rep.Missing)
-	}
-}
-
-// TestRunPartitionedMeasuresRealCompiles runs the partitioned stage with
-// the smallest workload through the real pipeline and checks the section
-// is complete and internally consistent.
-func TestRunPartitionedMeasuresRealCompiles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real pipeline compiles")
-	}
-	p, err := runPartitioned(context.Background(), Options{Iterations: 1, Seed: 1, PartitionCap: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Qubits != 16 || p.Cap != 4 {
-		t.Fatalf("workload shape: %+v", p)
-	}
-	if p.Parts < 2 || p.Seams < 1 {
-		t.Fatalf("workload did not split: %+v", p)
-	}
-	if p.Whole.MinNS <= 0 || p.Split.MinNS <= 0 || p.Speedup <= 0 {
-		t.Fatalf("missing measurements: %+v", p)
-	}
-	if p.WholeVolume <= 0 || p.SplitVolume <= 0 {
-		t.Fatalf("missing volumes: %+v", p)
-	}
-	f := stubFile(t, 1)
-	f.Partitioned = p
-	if err := Validate(f); err != nil {
-		t.Fatalf("real section fails validation: %v", err)
 	}
 }
 

@@ -9,9 +9,9 @@
 // pipeline's determinism contracts differentially: multi-chain SA
 // placement against its sequential twin, concurrent routing against the
 // serial pass, cached compile bytes against a fresh compile, bridged
-// against unbridged compilations, ZX-rewritten against unrewritten
-// compilations, and partitioned against whole-circuit compilations (all
-// backed by state-vector simulation on small circuits).
+// against unbridged compilations, and ZX-rewritten against unrewritten
+// compilations (both backed by state-vector simulation on small
+// circuits).
 //
 // The passes are pure observers: they never mutate the result under test.
 // cmd/tqecverify drives them from the command line, `make check` wires
@@ -192,18 +192,11 @@ func Result(ctx context.Context, res *tqec.Result, cfg Config) *Report {
 			detail = "sim verified"
 		}
 		add("diff-zx", detail, err)
-		simmed, err = DiffPartition(ctx, res, cfg.Opts, cfg.MaxSimQubits)
-		detail = "sim skipped"
-		if simmed {
-			detail = "sim verified"
-		}
-		add("diff-partition", detail, err)
 	} else {
 		rep.Passes = append(rep.Passes,
 			PassResult{Name: "diff-cache-bytes", Skipped: true, Detail: "no source circuit"},
 			PassResult{Name: "diff-bridging", Skipped: true, Detail: "no source circuit"},
-			PassResult{Name: "diff-zx", Skipped: true, Detail: "no source circuit"},
-			PassResult{Name: "diff-partition", Skipped: true, Detail: "no source circuit"})
+			PassResult{Name: "diff-zx", Skipped: true, Detail: "no source circuit"})
 	}
 	return rep
 }

@@ -55,7 +55,6 @@ func TestRunBenchmarkAllPasses(t *testing.T) {
 	want := []string{
 		"bridge-reconstructable", "placement-legal", "routing-legal", "volume-accounting",
 		"diff-chains", "diff-serial-routing", "diff-cache-bytes", "diff-bridging", "diff-zx",
-		"diff-partition",
 	}
 	if len(rep.Passes) != len(want) {
 		t.Fatalf("got %d passes, want %d:\n%s", len(rep.Passes), len(want), rep)
@@ -302,98 +301,4 @@ func TestDiffChainsMatchesPrimary(t *testing.T) {
 	if err := DiffChains(context.Background(), res, tqec.FastOptions(), 2); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestDiffPartitionSimsTinyCircuit checks the partition differential's
-// simulation branch runs on circuits small enough to simulate and that
-// the pass is clean on a genuine compile.
-func TestDiffPartitionSimsTinyCircuit(t *testing.T) {
-	c := qc.New("tiny-cut", 4)
-	c.Append(qc.CNOT(0, 1), qc.CNOT(0, 1), qc.NOT(0), qc.CNOT(2, 3), qc.CNOT(2, 3), qc.NOT(3), qc.CNOT(1, 2))
-	res, err := tqec.CompileContext(context.Background(), c, tqec.FastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	simmed, err := DiffPartition(context.Background(), res, tqec.FastOptions(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !simmed {
-		t.Fatal("4-qubit circuit should be within the simulation bound")
-	}
-}
-
-// TestDiffPartitionOnBenchmark runs the partition differential against
-// the shared paper benchmark (whose decomposed width exceeds the default
-// simulation bound, so only the structural and determinism legs run).
-func TestDiffPartitionOnBenchmark(t *testing.T) {
-	res := compiledBenchmark(t)
-	if _, err := DiffPartition(context.Background(), res, tqec.FastOptions(), 16); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSamePartitionedCatchesTampering corrupts independent aspects of a
-// genuine partitioned result and checks the determinism comparator
-// notices each.
-func TestSamePartitionedCatchesTampering(t *testing.T) {
-	c := qc.New("tamper", 4)
-	c.Append(qc.CNOT(0, 1), qc.CNOT(0, 1), qc.NOT(0), qc.CNOT(2, 3), qc.CNOT(2, 3), qc.NOT(3), qc.CNOT(1, 2))
-	opts := tqec.FastOptions()
-	opts.Partition.MaxQubitsPerPart = 2
-	opts.Partition.Seed = 1
-	pres, err := tqec.CompilePartitionedContext(context.Background(), c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := samePartitioned(pres, pres); err != nil {
-		t.Fatalf("result differs from itself: %v", err)
-	}
-
-	t.Run("slab", func(t *testing.T) {
-		mod := *pres
-		mod.Slabs = append(pres.Slabs[:0:0], pres.Slabs...)
-		mod.Slabs[0] = mod.Slabs[0].Expand(1)
-		if samePartitioned(pres, &mod) == nil {
-			t.Fatal("moved slab not detected")
-		}
-	})
-	t.Run("cut", func(t *testing.T) {
-		mod := *pres
-		p2 := *pres.Partition
-		p2.QubitPart = append(pres.Partition.QubitPart[:0:0], pres.Partition.QubitPart...)
-		p2.QubitPart[0] = p2.QubitPart[0] + 1
-		mod.Partition = &p2
-		if samePartitioned(pres, &mod) == nil {
-			t.Fatal("reassigned qubit not detected")
-		}
-	})
-	t.Run("volume", func(t *testing.T) {
-		mod := *pres
-		mod.Volume++
-		if samePartitioned(pres, &mod) == nil {
-			t.Fatal("inflated volume not detected")
-		}
-	})
-	t.Run("seam-route", func(t *testing.T) {
-		if pres.SeamRouting == nil || len(pres.SeamRouting.Routes) == 0 {
-			t.Skip("no seam routes to corrupt")
-		}
-		mod := *pres
-		sr := *pres.SeamRouting
-		sr.Routes = copyRoutes(pres.SeamRouting)
-		for id, p := range sr.Routes {
-			if len(p) == 0 {
-				continue
-			}
-			q := append(p[:0:0], p...)
-			q[0] = q[0].Add(geom.Pt(0, 0, -1))
-			sr.Routes[id] = q
-			break
-		}
-		mod.SeamRouting = &sr
-		if samePartitioned(pres, &mod) == nil {
-			t.Fatal("shifted seam cell not detected")
-		}
-	})
 }

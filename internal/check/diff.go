@@ -6,8 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/ccache"
-	"repro/internal/decompose"
-	"repro/internal/partition"
 	"repro/internal/place"
 	"repro/internal/route"
 	"repro/internal/server"
@@ -23,7 +21,6 @@ import (
 func DiffChains(ctx context.Context, res *tqec.Result, opts tqec.Options, chains int) error {
 	popts := opts.Place
 	popts.Chains = chains
-	popts.Restarts = 0
 	first, err := place.RunContext(ctx, res.Clustering, res.Bridging.Nets, popts)
 	if err != nil {
 		return fmt.Errorf("chains=%d run 1: %w", chains, err)
@@ -268,120 +265,6 @@ func DiffBridging(ctx context.Context, res *tqec.Result, opts tqec.Options, maxS
 		return true, fmt.Errorf("decomposed circuit is not unitarily equivalent to %q", res.Circuit.Name)
 	}
 	return true, nil
-}
-
-// DiffPartition cross-checks the partitioned compile pipeline: the same
-// circuit is recompiled through CompilePartitionedContext with a qubit
-// cap of half the decomposed width (forcing a genuine cut on any circuit
-// wider than one qubit), the resulting partition must verify against the
-// decomposed circuit (parts ∪ seams cover every source gate exactly once
-// and reassemble to the exact source gates), the stitched geometry must
-// pass PartitionedResult.Verify (per-part structural invariants, slab
-// disjointness, seam route legality), and a second run must be
-// bit-identical in cut, slabs, seam routes and combined volume — the
-// determinism contract that makes partitioned compiles content
-// addressable. On circuits whose decomposed form fits in maxSimQubits the
-// reassembled circuit is additionally verified unitarily equivalent to
-// the source on clean ancillas by state-vector simulation; the returned
-// flag reports whether that simulation ran.
-func DiffPartition(ctx context.Context, res *tqec.Result, opts tqec.Options, maxSimQubits int) (bool, error) {
-	d, err := decompose.Decompose(res.Circuit)
-	if err != nil {
-		return false, fmt.Errorf("decompose: %w", err)
-	}
-	nq := d.Circuit.NumQubits()
-	popts := opts
-	popts.Partition = partition.Options{
-		MaxQubitsPerPart: (nq + 1) / 2,
-		Seed:             opts.Place.Seed,
-	}
-	first, err := tqec.CompilePartitionedContext(ctx, res.Circuit, popts)
-	if err != nil {
-		return false, fmt.Errorf("partitioned compile: %w", err)
-	}
-	if nq > popts.Partition.MaxQubitsPerPart && first.PassThrough {
-		return false, fmt.Errorf("cap %d on a %d-qubit decomposition did not split", popts.Partition.MaxQubitsPerPart, nq)
-	}
-	if err := first.Partition.Verify(d.Circuit, popts.Partition); err != nil {
-		return false, err
-	}
-	if err := first.Verify(); err != nil {
-		return false, err
-	}
-	second, err := tqec.CompilePartitionedContext(ctx, res.Circuit, popts)
-	if err != nil {
-		return false, fmt.Errorf("partitioned recompile: %w", err)
-	}
-	if err := samePartitioned(first, second); err != nil {
-		return false, fmt.Errorf("partitioned reruns diverge: %w", err)
-	}
-
-	if maxSimQubits <= 0 || nq > maxSimQubits {
-		return false, nil
-	}
-	back, err := first.Partition.Reassemble(d.Circuit)
-	if err != nil {
-		return false, err
-	}
-	padded := res.Circuit.Clone()
-	padded.Qubits = append([]string(nil), d.Circuit.Qubits...)
-	ok, err := sim.EquivalentOnCleanAncillas(nq, res.Circuit.NumQubits(), padded, back)
-	if err != nil {
-		return false, fmt.Errorf("simulate: %w", err)
-	}
-	if !ok {
-		return true, fmt.Errorf("reassembled partition of %q is not unitarily equivalent to the source", res.Circuit.Name)
-	}
-	return true, nil
-}
-
-// samePartitioned compares two partitioned results for bit-identical
-// output: the qubit cut, the slab geometry, every seam route and the
-// combined measurements.
-func samePartitioned(a, b *tqec.PartitionedResult) error {
-	if la, lb := len(a.Partition.QubitPart), len(b.Partition.QubitPart); la != lb {
-		return fmt.Errorf("qubit maps cover %d vs %d qubits", la, lb)
-	}
-	for q := range a.Partition.QubitPart {
-		if a.Partition.QubitPart[q] != b.Partition.QubitPart[q] {
-			return fmt.Errorf("qubit %d in part %d vs %d", q, a.Partition.QubitPart[q], b.Partition.QubitPart[q])
-		}
-	}
-	if la, lb := len(a.Slabs), len(b.Slabs); la != lb {
-		return fmt.Errorf("%d vs %d slabs", la, lb)
-	}
-	for i := range a.Slabs {
-		if a.Slabs[i] != b.Slabs[i] {
-			return fmt.Errorf("slab %d at %v vs %v", i, a.Slabs[i], b.Slabs[i])
-		}
-	}
-	if a.Dims != b.Dims || a.Volume != b.Volume {
-		return fmt.Errorf("geometry %v volume %d vs %v volume %d", a.Dims, a.Volume, b.Dims, b.Volume)
-	}
-	switch {
-	case a.SeamRouting == nil && b.SeamRouting == nil:
-	case a.SeamRouting == nil || b.SeamRouting == nil:
-		return fmt.Errorf("seam routing present in only one run")
-	default:
-		if la, lb := len(a.SeamRouting.Routes), len(b.SeamRouting.Routes); la != lb {
-			return fmt.Errorf("%d vs %d seam routes", la, lb)
-		}
-		for id, ap := range a.SeamRouting.Routes {
-			bp, ok := b.SeamRouting.Routes[id]
-			if !ok {
-				return fmt.Errorf("seam %d routed in only one run", id)
-			}
-			if len(ap) != len(bp) {
-				return fmt.Errorf("seam %d path length %d vs %d", id, len(ap), len(bp))
-			}
-			for i := range ap {
-				if ap[i] != bp[i] {
-					return fmt.Errorf("seam %d cell %d: %v vs %v", id, i, ap[i], bp[i])
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // DiffZX cross-checks the ZX pre-compression pass against its ablation:

@@ -35,10 +35,8 @@ var (
 	// retryable; everything else in the taxonomy is judged individually.
 	ErrTransient = errors.New("transient fault")
 	// ErrEmpty marks a workload that reduced to nothing to lay out — a
-	// circuit (or partitioned sub-circuit) whose gates all canceled
-	// during rewriting, leaving no modules to place. The partitioned
-	// compiler treats a part failing with it as geometry-free rather
-	// than as a compilation failure.
+	// circuit whose gates all canceled during rewriting, leaving no
+	// modules to place.
 	ErrEmpty = errors.New("nothing to lay out")
 )
 

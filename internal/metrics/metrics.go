@@ -16,8 +16,6 @@ const (
 	StageBridging  = "iterative bridging"
 	StagePlacement = "module placement"
 	StageRouting   = "dual-defect net routing"
-	StagePartition = "qubit partition"
-	StageStitch    = "seam stitching"
 )
 
 // Counter names used by the fault-tolerant pipeline.

@@ -217,5 +217,5 @@ func runChains(ctx context.Context, cl *cluster.Clustering, nets []bridge.Net, o
 			best = engines[j]
 		}
 	}
-	return best.extract(), nil
+	return best.placement(), nil
 }

@@ -271,10 +271,7 @@ type router struct {
 	pinRev    map[int]uint64
 	dirtyPins map[int]bool
 
-	// base is the pre-routing extent (placement bounds, or the caller's
-	// slab extent for seam routing); finish unions routes and pin cells
-	// into it. world clamps all search regions.
-	base  geom.Box
+	// world clamps all search regions.
 	world geom.Box
 
 	result *Result
@@ -396,8 +393,7 @@ func (r *router) build() error {
 	}
 	// The routable world: everything placed, expanded generously so
 	// detours around the hull remain possible.
-	r.base = r.p.Bounds()
-	bounds := r.base
+	bounds := r.p.Bounds()
 	for _, c := range r.pinCell {
 		bounds = bounds.UnionPoint(c)
 	}
@@ -1202,7 +1198,7 @@ func (r *router) searchCanceled() bool {
 // (dense array or map fallback).
 func (r *router) finish() {
 	r.result.HistoryCells, r.result.MaxHistory = r.grid.histStats()
-	b := r.base
+	b := r.p.Bounds()
 	for id, path := range r.routes {
 		r.result.Routes[id] = path
 		b = b.Union(path.Bounds())

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/partition"
 	"repro/internal/qc"
 	"repro/internal/resilience"
 	"repro/tqec"
@@ -50,13 +49,6 @@ type CompileOptions struct {
 	NoBoxes bool `json:"no_boxes,omitempty"`
 	// StrictRouting turns degraded routing into a compile error.
 	StrictRouting bool `json:"strict_routing,omitempty"`
-	// PartitionQubits caps the qubits per partition: a positive value
-	// compiles through the partitioned pipeline (sub-circuits stitched
-	// into time slabs, seam CNOTs routed across slab gaps) and responds
-	// with the partitioned payload shape. 0 inherits the server's
-	// -partition-qubits default; a negative value forces the ordinary
-	// single-slab compile even when the server has a default.
-	PartitionQubits int `json:"partition_qubits,omitempty"`
 	// TimeoutMS bounds this compilation in milliseconds (0 = the
 	// server's default; values above the server's maximum are clamped).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -89,9 +81,6 @@ type parseLimits struct {
 	maxTimeout time.Duration
 	// allowFaults admits the fault_attempts chaos hook.
 	allowFaults bool
-	// defaultPartition applies when the request leaves partition_qubits
-	// at 0 (negative request values force partitioning off).
-	defaultPartition int
 }
 
 // parseCompileRequest decodes and validates a request body into a
@@ -125,13 +114,6 @@ func buildCompileTask(req *CompileRequest, lim parseLimits) (*compileTask, *apiE
 		return nil, aerr
 	}
 	opts := requestOptions(req.Options)
-	cap := req.Options.PartitionQubits
-	if cap == 0 {
-		cap = lim.defaultPartition
-	}
-	if cap > 0 {
-		opts.Partition = partition.Options{MaxQubitsPerPart: cap, Seed: req.Options.Seed}
-	}
 	key, err := tqec.CacheKey(circuit, opts)
 	if err != nil {
 		return nil, badRequest(fmt.Sprintf("circuit rejected: %v", err))
@@ -357,125 +339,6 @@ func EncodeResult(key string, res *tqec.Result) ([]byte, error) {
 	b, err := json.Marshal(resp)
 	if err != nil {
 		return nil, fmt.Errorf("encode result: %w", err)
-	}
-	return b, nil
-}
-
-// PartitionedResponse is the JSON body of a partitioned compile
-// (partition_qubits > 0). Like CompileResponse it is deterministic for a
-// (circuit, options) pair, so partitioned payloads are content-addressed
-// and cached byte-for-byte identically.
-type PartitionedResponse struct {
-	// Name is the compiled circuit's name.
-	Name string `json:"name"`
-	// Key is the compilation's content address (hex SHA-256).
-	Key string `json:"key"`
-	// Dims are the combined W/H/D extents (slabs, seam routes and pins).
-	Dims DimsBody `json:"dims"`
-	// Volume is W×H×D of the combined extent.
-	Volume int `json:"volume"`
-	// CanonicalVolume sums the parts' canonical-form volumes.
-	CanonicalVolume int `json:"canonical_volume"`
-	// BoxVolume sums the parts' lower-bound distillation box volumes.
-	BoxVolume int `json:"box_volume"`
-	// CompressionRatio is (canonical + boxes) / final volume.
-	CompressionRatio float64 `json:"compression_ratio"`
-	// Degraded reports degraded routing in any part or the stitching.
-	Degraded bool `json:"degraded"`
-	// PlacementAttempts sums the parts' SA placements.
-	PlacementAttempts int `json:"placement_attempts"`
-	// Partition summarizes the qubit cut.
-	Partition PartitionBody `json:"partition"`
-	// Parts summarizes each compiled sub-circuit, in part order.
-	Parts []PartBody `json:"parts"`
-	// Seams summarizes the seam-net stitching routes.
-	Seams RoutingBody `json:"seams"`
-	// Counters holds the non-zero fault-tolerance event counters.
-	Counters map[string]int `json:"counters,omitempty"`
-}
-
-// PartitionBody summarizes the qubit-interaction-graph cut.
-type PartitionBody struct {
-	// MaxQubitsPerPart is the effective per-part qubit cap.
-	MaxQubitsPerPart int `json:"max_qubits_per_part"`
-	// Parts is the number of sub-circuits.
-	Parts int `json:"parts"`
-	// Seams is the number of cut CNOTs.
-	Seams int `json:"seams"`
-	// Largest is the largest part's qubit count.
-	Largest int `json:"largest"`
-	// PassThrough marks a circuit that fit the cap and never split.
-	PassThrough bool `json:"pass_through,omitempty"`
-}
-
-// PartBody summarizes one compiled sub-circuit.
-type PartBody struct {
-	// Qubits is the part's qubit count (source-circuit qubits).
-	Qubits int `json:"qubits"`
-	// Gates is the part's gate count (seam CNOTs belong to no part).
-	Gates int `json:"gates"`
-	// Volume is the part's standalone compiled volume (0 for a gateless
-	// seam-only part).
-	Volume int `json:"volume"`
-	// Degraded reports the part compiled with degraded routing.
-	Degraded bool `json:"degraded,omitempty"`
-}
-
-// EncodePartitionedResult renders a partitioned compilation as the
-// service's deterministic response payload (the partitioned counterpart of
-// EncodeResult). cap is the per-part qubit cap the compile ran with.
-func EncodePartitionedResult(key, name string, cap int, res *tqec.PartitionedResult) ([]byte, error) {
-	parts, seams, largest := res.Partition.Stats()
-	resp := PartitionedResponse{
-		Name:              name,
-		Key:               key,
-		Dims:              DimsBody{W: res.Dims.W, H: res.Dims.H, D: res.Dims.D},
-		Volume:            res.Volume,
-		CanonicalVolume:   res.CanonicalVolume,
-		BoxVolume:         res.BoxVolume,
-		CompressionRatio:  res.CompressionRatio(),
-		Degraded:          res.Degraded,
-		PlacementAttempts: res.PlacementAttempts,
-		Partition: PartitionBody{
-			MaxQubitsPerPart: cap,
-			Parts:            parts,
-			Seams:            seams,
-			Largest:          largest,
-			PassThrough:      res.PassThrough,
-		},
-	}
-	for i, part := range res.Parts {
-		pb := PartBody{
-			Qubits: len(res.Partition.Parts[i].Qubits),
-			Gates:  res.Partition.Parts[i].Circuit.NumGates(),
-		}
-		if part != nil {
-			pb.Volume = part.Volume
-			pb.Degraded = part.Degraded
-		}
-		resp.Parts = append(resp.Parts, pb)
-	}
-	if sr := res.SeamRouting; sr != nil {
-		resp.Seams = RoutingBody{
-			Routed:    len(sr.Routes),
-			FirstPass: sr.FirstPassRouted,
-			RippedUp:  sr.RippedUp,
-			WireCells: sr.WireCells(),
-			Fallback:  len(sr.FallbackNets),
-			Failed:    len(sr.Failed),
-		}
-	}
-	for _, cn := range res.Breakdown.Counters() {
-		if n := res.Breakdown.Counter(cn); n != 0 {
-			if resp.Counters == nil {
-				resp.Counters = map[string]int{}
-			}
-			resp.Counters[cn] = n
-		}
-	}
-	b, err := json.Marshal(resp)
-	if err != nil {
-		return nil, fmt.Errorf("encode partitioned result: %w", err)
 	}
 	return b, nil
 }

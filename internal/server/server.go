@@ -70,11 +70,6 @@ type Config struct {
 	// stop serializing on one mutex under concurrent load. 0 or 1 keeps
 	// the single-mutex cache. Single-flight stays per key either way.
 	CacheShards int
-	// PartitionQubits, when positive, makes partitioned compilation the
-	// default: requests that leave partition_qubits at 0 compile with
-	// this per-part qubit cap (a negative request value still forces the
-	// ordinary pipeline). 0 keeps unpartitioned compiles the default.
-	PartitionQubits int
 	// DefaultTimeout bounds each compile when the request does not set
 	// one (default 2m).
 	DefaultTimeout time.Duration
@@ -170,7 +165,7 @@ func (c Config) withDefaults() Config {
 // limits bundles the request-parsing knobs.
 func (c Config) limits() parseLimits {
 	return parseLimits{defaultTimeout: c.DefaultTimeout, maxTimeout: c.MaxTimeout,
-		allowFaults: c.AllowFaultInjection, defaultPartition: c.PartitionQubits}
+		allowFaults: c.AllowFaultInjection}
 }
 
 // Server is the compile service. Create with New, launch the workers with
@@ -232,6 +227,7 @@ func New(cfg Config) (*Server, error) {
 		breaker:     resilience.NewBreaker(resilience.BreakerSettings{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}),
 		compileHist: metrics.NewHistogram(),
 		stageHists: map[string]*metrics.Histogram{
+			metrics.StageZX:        metrics.NewHistogram(),
 			metrics.StageBridging:  metrics.NewHistogram(),
 			metrics.StagePlacement: metrics.NewHistogram(),
 			metrics.StageRouting:   metrics.NewHistogram(),
@@ -297,19 +293,6 @@ func (s *Server) execute(ctx context.Context, ct *compileTask, attempt int) ([]b
 	}
 	s.compiles.Inc()
 	start := time.Now()
-	if ct.opts.Partition.MaxQubitsPerPart > 0 {
-		pres, err := tqec.CompilePartitionedContext(ctx, ct.circuit, ct.opts)
-		elapsed := time.Since(start)
-		s.compileHist.Observe(elapsed)
-		if err != nil {
-			return nil, err
-		}
-		s.observeCompileEWMA(elapsed)
-		for stage, hist := range s.stageHists {
-			hist.Observe(pres.Breakdown.Get(stage))
-		}
-		return EncodePartitionedResult(ct.key, ct.circuit.Name, ct.opts.Partition.MaxQubitsPerPart, pres)
-	}
 	res, err := tqec.CompileContext(ctx, ct.circuit, ct.opts)
 	elapsed := time.Since(start)
 	s.compileHist.Observe(elapsed)

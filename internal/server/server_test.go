@@ -143,6 +143,7 @@ func TestCompileRequestErrors(t *testing.T) {
 		{"unknown bench", `{"bench":"no-such-benchmark"}`, 404},
 		{"bad real", `{"real":"t2 a b"}`, 400},
 		{"trailing data", `{"bench":"4gt10-v1_81"} {"x":1}`, 400},
+		{"removed partition_qubits", `{"bench":"4gt10-v1_81","options":{"partition_qubits":3}}`, 400},
 	}
 	for _, c := range cases {
 		w := post(s, "/v1/compile", []byte(c.body))
@@ -346,7 +347,8 @@ func TestMetricsJSONGolden(t *testing.T) {
 		`"stage:dual-defect net routing":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0},` +
 		`"stage:iterative bridging":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0},` +
 		`"stage:module placement":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0},` +
-		`"stage:other":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0}}}`
+		`"stage:other":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0},` +
+		`"stage:zx rewrite":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0}}}`
 	if got := w.Body.String(); got != want {
 		t.Fatalf("metrics JSON:\n got %s\nwant %s", got, want)
 	}
@@ -375,6 +377,9 @@ func TestMetricsCountTraffic(t *testing.T) {
 	}
 	if snap.LatencyNS["stage:module placement"].Count != 1 {
 		t.Fatalf("stage histogram %+v", snap.LatencyNS["stage:module placement"])
+	}
+	if snap.LatencyNS["stage:zx rewrite"].Count != 1 {
+		t.Fatalf("zx stage histogram %+v", snap.LatencyNS["stage:zx rewrite"])
 	}
 	if snap.LatencyNS["queue_wait"].Count != 1 {
 		t.Fatalf("queue-wait histogram %+v", snap.LatencyNS["queue_wait"])

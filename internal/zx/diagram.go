@@ -1,212 +1,45 @@
 package zx
 
-import "fmt"
+import "repro/internal/qc"
 
-// vkind enumerates the vertex kinds of a ZX diagram. Boundary vertices
-// (vIn/vOut) carry a qubit index and always have degree one; spiders carry
-// a phase in units of π/4. X-spiders exist only transiently while a
-// circuit is being translated: toGraphLike converts every one of them into
-// a Z-spider by toggling its incident edge types (the color-change rule),
-// so the rewrite engine and the extractor only ever see Z-spiders.
+// vkind is a spider color. A Z-spider sits on a CNOT control or carries a
+// diagonal phase gate; an X-spider sits on a CNOT target or carries an
+// X-basis phase gate.
 type vkind uint8
 
 const (
-	vDead vkind = iota // removed vertex slot
-	vIn                // input boundary
-	vOut               // output boundary
-	vZ                 // Z-spider
-	vX                 // X-spider (build-time only)
+	vZ vkind = iota // Z-spider
+	vX              // X-spider
 )
 
-// ekind is an edge type: absent, a plain wire, or a Hadamard edge.
-type ekind uint8
-
-const (
-	eNone  ekind = iota
-	ePlain       // identity wire
-	eHada        // Hadamard edge
-)
-
-// diagram is an open ZX diagram over a fixed set of qubit wires. Vertices
-// are identified by dense IDs; removed vertices stay as dead slots so IDs
-// are stable. The adjacency is simple (no parallel edges, no self-loops):
-// connect resolves would-be parallel edges and self-loops immediately with
-// the Hopf and fusion laws, which keeps the diagram graph-like at all
-// times.
-type diagram struct {
-	kinds  []vkind
-	phases []int // spider phase in π/4 units, always normalized to 0..7
-	qubits []int // boundary vertices: qubit index; spiders: -1
-	adj    []map[int]ekind
-
-	// ins and outs hold the boundary vertex of each qubit wire.
-	ins, outs []int
+// zPhaseUnits maps a decomposed diagonal gate kind to its Z-spider phase in
+// π/4 units, or -1 when the kind is not a Z-phase gate.
+func zPhaseUnits(k qc.GateKind) int {
+	switch k {
+	case qc.GateT:
+		return 1
+	case qc.GateP:
+		return 2
+	case qc.GateZ:
+		return 4
+	case qc.GatePdag:
+		return 6
+	case qc.GateTdag:
+		return 7
+	}
+	return -1
 }
 
-// newDiagram returns an empty diagram with boundary vertices for n qubits.
-func newDiagram(n int) *diagram {
-	d := &diagram{}
-	d.ins = make([]int, n)
-	d.outs = make([]int, n)
-	for q := 0; q < n; q++ {
-		d.ins[q] = d.newVertex(vIn, 0, q)
+// xPhaseUnits maps a decomposed X-basis gate kind to its X-spider phase in
+// π/4 units, or -1 when the kind is not an X-phase gate.
+func xPhaseUnits(k qc.GateKind) int {
+	switch k {
+	case qc.GateV:
+		return 2
+	case qc.GateNOT:
+		return 4
+	case qc.GateVdag:
+		return 6
 	}
-	for q := 0; q < n; q++ {
-		d.outs[q] = d.newVertex(vOut, 0, q)
-	}
-	return d
-}
-
-// newVertex appends a vertex and returns its ID.
-func (d *diagram) newVertex(k vkind, phase, qubit int) int {
-	id := len(d.kinds)
-	d.kinds = append(d.kinds, k)
-	d.phases = append(d.phases, phase&7)
-	d.qubits = append(d.qubits, qubit)
-	d.adj = append(d.adj, map[int]ekind{})
-	return id
-}
-
-// alive reports whether v is a live vertex.
-func (d *diagram) alive(v int) bool { return d.kinds[v] != vDead }
-
-// spider reports whether v is a live Z- or X-spider.
-func (d *diagram) spider(v int) bool { return d.kinds[v] == vZ || d.kinds[v] == vX }
-
-// boundary reports whether v is a live boundary vertex.
-func (d *diagram) boundary(v int) bool { return d.kinds[v] == vIn || d.kinds[v] == vOut }
-
-// edge returns the edge type between u and v (eNone when absent).
-func (d *diagram) edge(u, v int) ekind { return d.adj[u][v] }
-
-// setEdge records an edge unconditionally (no resolution).
-func (d *diagram) setEdge(u, v int, k ekind) {
-	d.adj[u][v] = k
-	d.adj[v][u] = k
-}
-
-// delEdge removes the edge between u and v, if any.
-func (d *diagram) delEdge(u, v int) {
-	delete(d.adj[u], v)
-	delete(d.adj[v], u)
-}
-
-// degree returns the number of incident edges.
-func (d *diagram) degree(v int) int { return len(d.adj[v]) }
-
-// addPhase adds k (π/4 units) to a spider's phase, mod 2π.
-func (d *diagram) addPhase(v, k int) {
-	d.phases[v] = (d.phases[v] + k%8 + 8) & 7
-}
-
-// neighbors returns v's neighbor IDs in ascending order. Every iteration
-// over adjacency goes through this accessor so the rewrite engine and the
-// extractor are deterministic regardless of map iteration order.
-func (d *diagram) neighbors(v int) []int {
-	ns := make([]int, 0, len(d.adj[v]))
-	for n := range d.adj[v] {
-		ns = append(ns, n)
-	}
-	insertionSort(ns)
-	return ns
-}
-
-// insertionSort orders a small int slice ascending without importing sort
-// in the hot path (neighbor lists are tiny).
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// removeVertex deletes v and every incident edge.
-func (d *diagram) removeVertex(v int) {
-	for n := range d.adj[v] {
-		delete(d.adj[n], v)
-	}
-	d.adj[v] = map[int]ekind{}
-	d.kinds[v] = vDead
-	d.phases[v] = 0
-	d.qubits[v] = -1
-}
-
-// adjacentToKind reports whether v has a neighbor of boundary kind k.
-func (d *diagram) adjacentToKind(v int, k vkind) bool {
-	for n := range d.adj[v] {
-		if d.kinds[n] == k {
-			return true
-		}
-	}
-	return false
-}
-
-// connect adds an edge of type k between u and v, resolving self-loops and
-// would-be parallel edges immediately with the standard graph-like
-// rewrite laws. Both endpoints of a resolved parallel edge must be
-// Z-spiders (the laws below are the same-color forms); a parallel edge at
-// a boundary vertex indicates an internal invariant violation and is
-// reported as an error.
-//
-//   - A plain self-loop is the identity and vanishes.
-//   - A Hadamard self-loop adds π to the spider's phase.
-//   - Parallel Hadamard edges between Z-spiders cancel mod 2 (Hopf law).
-//   - Parallel plain edges between Z-spiders collapse to one (fusing along
-//     either leaves a vanishing plain self-loop, and re-splitting recovers
-//     the single-edge form).
-//
-// A plain edge parallel to a Hadamard edge has no local resolution that
-// keeps both spiders (it forces a fusion), so it is reported as an error;
-// the rewrite rules pre-check for that shape and skip rather than create
-// it.
-func (d *diagram) connect(u, v int, k ekind) error {
-	if k == eNone {
-		return nil
-	}
-	if u == v {
-		if k == eHada {
-			d.addPhase(u, 4)
-		}
-		return nil
-	}
-	cur := d.edge(u, v)
-	if cur == eNone {
-		d.setEdge(u, v, k)
-		return nil
-	}
-	if d.kinds[u] != vZ || d.kinds[v] != vZ {
-		return fmt.Errorf("zx: parallel edge at non-Z vertex pair %d-%d", u, v)
-	}
-	switch {
-	case cur == eHada && k == eHada:
-		d.delEdge(u, v)
-	case cur == ePlain && k == ePlain:
-		// keep the single plain edge
-	default:
-		return fmt.Errorf("zx: mixed parallel edge between %d and %d", u, v)
-	}
-	return nil
-}
-
-// toggleHada flips the presence of a Hadamard edge between two Z-spiders
-// (the elementary step of local complementation and pivoting). The caller
-// guarantees no plain edge exists between them.
-func (d *diagram) toggleHada(u, v int) {
-	if d.edge(u, v) == eHada {
-		d.delEdge(u, v)
-	} else {
-		d.setEdge(u, v, eHada)
-	}
-}
-
-// spiderCount returns the number of live spiders.
-func (d *diagram) spiderCount() int {
-	n := 0
-	for v := range d.kinds {
-		if d.spider(v) {
-			n++
-		}
-	}
-	return n
+	return -1
 }

@@ -47,16 +47,16 @@ func decodeFuzzCircuit(qubits int, data []byte) *qc.Circuit {
 }
 
 // FuzzZXRewrite drives fuzzer-shaped decomposed circuits through the ZX
-// rewrite chain and checks the pass's whole contract: the rewrite engine
-// terminates (a hang or rewrite-budget blowup fails the run), a
-// successful reduce preserves the qubit count and the circuit's unitary
-// (state-vector checked — every decoded circuit is small enough), and
-// Optimize never returns a canonically costlier circuit than its input.
+// light pass and checks its whole contract: the rewrite loop terminates
+// (a hang fails the run), reduceLight preserves the qubit count and the
+// circuit's unitary (state-vector checked — every decoded circuit is
+// small enough) without growing the gate count, and Optimize never
+// returns a canonically costlier circuit than its input.
 func FuzzZXRewrite(f *testing.F) {
-	f.Add(2, []byte{0x00, 0x01, 0x11, 0x00, 0x51, 0x01})         // CNOT + T + Tdag
-	f.Add(3, []byte{0x11, 0x00, 0x11, 0x00, 0x00, 0x00})         // T.T fuses to P
-	f.Add(4, []byte{0x66, 0x02, 0x00, 0x02, 0x88, 0x03})         // V, CNOT, Vdag
-	f.Add(1, []byte{0x22, 0x00, 0x42, 0x00, 0x31, 0x01})         // P.Pdag.Z
+	f.Add(2, []byte{0x00, 0x01, 0x11, 0x00, 0x51, 0x01})             // CNOT + T + Tdag
+	f.Add(3, []byte{0x11, 0x00, 0x11, 0x00, 0x00, 0x00})             // T.T fuses to P
+	f.Add(4, []byte{0x66, 0x02, 0x00, 0x02, 0x88, 0x03})             // V, CNOT, Vdag
+	f.Add(1, []byte{0x22, 0x00, 0x42, 0x00, 0x31, 0x01})             // P.Pdag.Z
 	f.Add(5, []byte{0x10, 0x00, 0x00, 0x01, 0x70, 0x02, 0x13, 0x03}) // mixed
 	f.Fuzz(func(t *testing.T, qubits int, data []byte) {
 		c := decodeFuzzCircuit(qubits, data)
@@ -77,25 +77,6 @@ func FuzzZXRewrite(f *testing.F) {
 		}
 		if ok, err := sim.EquivalentUpToPhase(n, c, lred); err != nil || !ok {
 			t.Fatalf("reduceLight changed the unitary (ok=%v err=%v) of %v", ok, err, c.Gates)
-		}
-
-		// reduce may legitimately fail (extraction anomalies fall back in
-		// Optimize), but when it succeeds the result must be a faithful,
-		// same-width decomposed circuit.
-		if red, _, err := reduce(c); err == nil {
-			if red.NumQubits() != n {
-				t.Fatalf("reduce changed qubit count: %d -> %d", n, red.NumQubits())
-			}
-			if err := red.Validate(); err != nil {
-				t.Fatalf("reduce produced an invalid circuit: %v", err)
-			}
-			ok, err := sim.EquivalentUpToPhase(n, c, red)
-			if err != nil {
-				t.Fatalf("simulate: %v", err)
-			}
-			if !ok {
-				t.Fatalf("reduce changed the unitary of %v", c.Gates)
-			}
 		}
 
 		out, st, err := Optimize(c)

@@ -8,16 +8,17 @@ import (
 )
 
 // The light rewrite path: same-color spider fusion and Hopf cancellation
-// applied to the circuit-shaped ZX diagram *before* it is normalized to
+// applied to the circuit-shaped ZX diagram, never normalized to
 // graph-like form. Every spider keeps its qubit wire and its position in
 // the original gate list, so the simplified diagram reads back by a plain
-// index sort instead of the frontier/Gauss extraction — no Hadamard
-// dummies, no re-synthesized CNOT layer. The rules it can apply are a
-// strict subset of the full system (phase folding through CNOT controls
-// and targets, CNOT pair cancellation via the Hopf law, identity
-// removal), but what they save they save without extraction overhead,
-// which on circuit-shaped inputs is usually the better trade. Optimize
-// prices this path against the graph-like ones and keeps the cheapest.
+// index sort: no Hadamard dummies and no re-synthesized CNOT layer. The
+// rules are phase folding through CNOT controls and targets, CNOT pair
+// cancellation via the Hopf law, and identity removal.
+//
+// Graph-like simplification is deliberately absent: re-extracting a
+// circuit from a graph-like diagram re-synthesizes the CNOT layer, which
+// on every benchmark circuit cost 4-8x the canonical volume of this pass
+// (see ARCHITECTURE.md, "ZX pre-compression").
 
 // lnode is one spider on a qubit wire.
 type lnode struct {
@@ -49,7 +50,7 @@ type ldiagram struct {
 }
 
 // buildLight translates a decomposed circuit into the wire-structured
-// form. Unlike fromCircuit it performs no color change: X-spiders stay X.
+// form. It performs no color change: X-spiders stay X.
 func buildLight(c *qc.Circuit) (*ldiagram, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("zx: invalid circuit: %w", err)

@@ -36,47 +36,3 @@ func lowerZPhase(q, k int) ([]qc.Gate, error) {
 	}
 	return nil, fmt.Errorf("zx: phase %d out of range", k)
 }
-
-// lower converts the extractor's gate alphabet into the decomposed
-// {CNOT, P, P†, V, V†, T, T†, NOT, Z} set the rest of the pipeline
-// consumes:
-//
-//	H       = P · V · P            (up to global phase)
-//	CZ(a,b) = CNOT(a,b) · P†(b) · CNOT(a,b) · P(a) · P(b)
-//	SWAP    = three alternating CNOTs
-//
-// Both identities are checked against the state-vector simulator in the
-// package tests. The qubit names of orig carry over so downstream
-// reporting stays recognizable.
-func lower(orig *qc.Circuit, gs []egate) (*qc.Circuit, error) {
-	c := &qc.Circuit{
-		Name:   orig.Name,
-		Qubits: append([]string(nil), orig.Qubits...),
-	}
-	for _, g := range gs {
-		switch g.op {
-		case opZPhase:
-			zs, err := lowerZPhase(g.a, g.phase)
-			if err != nil {
-				return nil, err
-			}
-			c.Gates = append(c.Gates, zs...)
-		case opCZ:
-			c.Gates = append(c.Gates,
-				qc.CNOT(g.a, g.b), pdag(g.b), qc.CNOT(g.a, g.b), qc.P(g.a), qc.P(g.b))
-		case opCNOT:
-			c.Gates = append(c.Gates, qc.CNOT(g.a, g.b))
-		case opH:
-			c.Gates = append(c.Gates, qc.P(g.a), qc.V(g.a), qc.P(g.a))
-		case opSwap:
-			c.Gates = append(c.Gates,
-				qc.CNOT(g.a, g.b), qc.CNOT(g.b, g.a), qc.CNOT(g.a, g.b))
-		default:
-			return nil, fmt.Errorf("zx: unknown extracted op %d", g.op)
-		}
-	}
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("zx: lowered circuit invalid: %w", err)
-	}
-	return c, nil
-}

@@ -1,19 +1,20 @@
 // Package zx implements a ZX-calculus pre-compression pass over
-// decomposed circuits: the CNOT+phase structure is translated into a
-// graph-like ZX diagram, simplified by a terminating, deterministic
-// rewrite system (spider fusion, identity removal, self-loop
-// elimination, Hopf cancellation, local complementation and pivoting on
-// the Clifford structure), and extracted back into a {CNOT, P, V, T}
-// circuit from which the ICM is re-derived.
+// decomposed circuits. The CNOT+phase structure is read as a
+// wire-structured ZX diagram: every CNOT is a plain edge between a
+// Z-spider on its control wire and an X-spider on its target wire, and
+// every phase gate is a spider on its own wire. Same-color spider fusion
+// along a wire folds phases through CNOT controls and targets, the Hopf
+// law cancels CNOT pairs, and identity spiders are dropped. Because every
+// spider keeps its wire and its position in the gate list, the simplified
+// diagram reads straight back into a {CNOT, P, V, T} circuit, from which
+// the ICM is re-derived, with no graph-like extraction step.
 //
 // The pass is sound by construction on the rewrite side (every rule is a
 // ZX-calculus equality, applied only when its preconditions hold) and
 // self-checking on the cost side: Optimize compares the canonical
 // space-time volume of the rewritten circuit against the original and
 // keeps the original unless the rewrite is a strict improvement, so the
-// pipeline's compression is never made worse. Any extraction anomaly
-// likewise falls back to the original circuit rather than failing the
-// compilation.
+// pipeline's compression is never made worse.
 package zx
 
 import (
@@ -44,36 +45,6 @@ type Stats struct {
 	FallbackReason string
 }
 
-// reduce runs the full build → simplify → extract → lower chain with the
-// complete rule set and returns the rewritten circuit unconditionally (no
-// cost comparison). Optimize wraps it with the fall-back policy; tests
-// call it directly so extraction bugs cannot hide behind the fall-back.
-func reduce(c *qc.Circuit) (*qc.Circuit, int, error) {
-	return reduceLevel(c, true)
-}
-
-// reduceLevel is reduce with the Clifford rules (local complementation,
-// pivoting) made optional — see simplifyLevel for why both levels exist.
-func reduceLevel(c *qc.Circuit, clifford bool) (*qc.Circuit, int, error) {
-	d, err := fromCircuit(c)
-	if err != nil {
-		return nil, 0, err
-	}
-	rewrites, err := d.simplifyLevel(clifford)
-	if err != nil {
-		return nil, rewrites, err
-	}
-	gs, err := extract(d)
-	if err != nil {
-		return nil, rewrites, err
-	}
-	out, err := lower(c, gs)
-	if err != nil {
-		return nil, rewrites, err
-	}
-	return out, rewrites, nil
-}
-
 // canonicalVolume prices a decomposed circuit the way the downstream
 // pipeline does: ICM conversion followed by the canonical layout.
 func canonicalVolume(c *qc.Circuit) (int, error) {
@@ -92,9 +63,8 @@ func canonicalVolume(c *qc.Circuit) (int, error) {
 // whichever of {original, rewritten} has the smaller canonical space-time
 // volume, with ties kept on the original. The returned circuit is always
 // valid input for icm.FromDecomposed. An error is returned only when the
-// input itself is not a decomposed circuit; internal rewrite or
-// extraction failures fall back to the original and are reported in
-// Stats.FallbackReason.
+// input itself is not a decomposed circuit; internal rewrite failures
+// fall back to the original and are reported in Stats.FallbackReason.
 func Optimize(c *qc.Circuit) (*qc.Circuit, Stats, error) {
 	var st Stats
 	before, err := decompose.Count(c)
@@ -109,42 +79,17 @@ func Optimize(c *qc.Circuit) (*qc.Circuit, Stats, error) {
 	st.GatesBefore, st.GatesAfter = len(c.Gates), len(c.Gates)
 	st.CanonicalBefore, st.CanonicalAfter = volBefore, volBefore
 
-	// Three rewrite strategies compete: the wire-structured light pass
-	// (phase folding + CNOT cancellation, no extraction overhead), the
-	// full Clifford system (deepest rewrites, but its extraction
-	// re-synthesizes the CNOT layer), and graph-like fusion without the
-	// Clifford rules. Each is priced by canonical volume; the cheapest
-	// wins, with ties broken toward the earlier strategy so the output is
-	// a deterministic function of the input. The last failure is kept for
-	// the all-failed fall-back message.
-	strategies := []func(*qc.Circuit) (*qc.Circuit, int, error){
-		reduceLight,
-		func(c *qc.Circuit) (*qc.Circuit, int, error) { return reduceLevel(c, true) },
-		func(c *qc.Circuit) (*qc.Circuit, int, error) { return reduceLevel(c, false) },
-	}
-	var red *qc.Circuit
-	volAfter := 0
-	fallback := ""
-	for _, strategy := range strategies {
-		cand, rewrites, err := strategy(c)
-		if err != nil {
-			fallback = err.Error()
-			continue
-		}
-		vol, err := canonicalVolume(cand)
-		if err != nil {
-			fallback = fmt.Sprintf("rewritten circuit not priceable: %v", err)
-			continue
-		}
-		if red == nil || vol < volAfter {
-			red, volAfter = cand, vol
-			st.Rewrites = rewrites
-		}
-	}
-	if red == nil {
-		st.FallbackReason = fallback
+	red, rewrites, err := reduceLight(c)
+	if err != nil {
+		st.FallbackReason = err.Error()
 		return c, st, nil
 	}
+	volAfter, err := canonicalVolume(red)
+	if err != nil {
+		st.FallbackReason = fmt.Sprintf("rewritten circuit not priceable: %v", err)
+		return c, st, nil
+	}
+	st.Rewrites = rewrites
 	if volAfter >= volBefore {
 		st.FallbackReason = fmt.Sprintf("no improvement (canonical volume %d -> %d)", volBefore, volAfter)
 		return c, st, nil

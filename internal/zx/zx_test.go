@@ -29,61 +29,23 @@ func circuitOf(n int, gs ...qc.Gate) *qc.Circuit {
 	return c
 }
 
-// TestLoweringIdentities pins the gate identities lower relies on against
-// the simulator: the CZ and H expansions, the swap expansion, and every
-// Z-phase residue class.
+// TestLoweringIdentities pins the Z-phase lowering the light pass emits
+// against the simulator: every residue class of Z^(k/4), plus the dagger
+// constructors, must match its T-gate power.
 func TestLoweringIdentities(t *testing.T) {
-	lowered := func(gs ...egate) *qc.Circuit {
-		c, err := lower(qc.New("test", 2), gs)
-		if err != nil {
-			t.Fatalf("lower: %v", err)
-		}
-		return c
-	}
-	mustEquivalent(t, 2,
-		lowered(egate{op: opH, a: 0}),
-		circuitOf(2, qc.H(0)))
-	mustEquivalent(t, 2,
-		lowered(egate{op: opCZ, a: 0, b: 1}),
-		circuitOf(2, qc.H(1), qc.CNOT(0, 1), qc.H(1)))
-	mustEquivalent(t, 2,
-		lowered(egate{op: opSwap, a: 0, b: 1}),
-		circuitOf(2, qc.Swap(0, 1)))
 	for k := 0; k < 8; k++ {
+		gs, err := lowerZPhase(0, k)
+		if err != nil {
+			t.Fatalf("lowerZPhase(%d): %v", k, err)
+		}
 		ref := qc.New("test", 2)
 		for i := 0; i < k; i++ {
 			ref.Append(qc.T(0))
 		}
-		mustEquivalent(t, 2, lowered(egate{op: opZPhase, a: 0, phase: k}), ref)
+		mustEquivalent(t, 2, circuitOf(2, gs...), ref)
 	}
-}
-
-// TestReduceFixedCircuits runs the full rewrite+extract chain (no cost
-// fall-back) on hand-picked circuits and checks unitary equivalence.
-func TestReduceFixedCircuits(t *testing.T) {
-	cases := []*qc.Circuit{
-		circuitOf(1),
-		circuitOf(1, qc.T(0)),
-		circuitOf(2, qc.CNOT(0, 1)),
-		circuitOf(2, qc.CNOT(1, 0)),
-		circuitOf(2, qc.CNOT(0, 1), qc.CNOT(1, 0), qc.CNOT(0, 1)), // swap
-		circuitOf(2, qc.P(0), qc.V(0), qc.P(0)),                   // H
-		circuitOf(2, qc.T(0), qc.T(0), qc.CNOT(0, 1), qc.Tdag(1)),
-		circuitOf(3, qc.CNOT(0, 1), qc.CNOT(1, 2), qc.V(1), qc.CNOT(0, 2), qc.Z(2)),
-		circuitOf(2, qc.V(0), qc.V(0), qc.NOT(0), qc.CNOT(0, 1)),
-	}
-	for i, c := range cases {
-		red, _, err := reduce(c)
-		if err != nil {
-			t.Errorf("case %d: reduce: %v", i, err)
-			continue
-		}
-		if red.NumQubits() != c.NumQubits() {
-			t.Errorf("case %d: qubit count changed %d -> %d", i, c.NumQubits(), red.NumQubits())
-			continue
-		}
-		mustEquivalent(t, c.NumQubits(), c, red)
-	}
+	mustEquivalent(t, 2, circuitOf(2, qc.P(0), pdag(0)), circuitOf(2))
+	mustEquivalent(t, 2, circuitOf(2, qc.V(0), vdag(0)), circuitOf(2))
 }
 
 // randomDecomposed builds a pseudo-random circuit over the decomposed
@@ -123,40 +85,22 @@ func randomDecomposed(rng *rand.Rand, qubits, gates int) *qc.Circuit {
 	return c
 }
 
-// TestReduceRandomCircuits is the main soundness check: across many
-// seeded random circuits the extracted circuit must implement the same
-// unitary as the input.
-func TestReduceRandomCircuits(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 60; trial++ {
-		qubits := 2 + rng.Intn(4) // 2..5
-		gates := 5 + rng.Intn(36)
-		c := randomDecomposed(rng, qubits, gates)
-		red, _, err := reduce(c)
-		if err != nil {
-			t.Errorf("trial %d (%d qubits, %d gates): reduce: %v", trial, qubits, gates, err)
-			continue
-		}
-		mustEquivalent(t, qubits, c, red)
-	}
-}
-
-// TestReduceDeterministic checks that the pass is a pure function of the
-// input circuit: two runs produce identical gate lists.
+// TestReduceDeterministic checks that the light pass is a pure function
+// of the input circuit: two runs produce identical gate lists.
 func TestReduceDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		c := randomDecomposed(rng, 4, 30)
-		r1, n1, err := reduce(c)
+		r1, n1, err := reduceLight(c)
 		if err != nil {
-			t.Fatalf("reduce: %v", err)
+			t.Fatalf("reduceLight: %v", err)
 		}
-		r2, n2, err := reduce(c.Clone())
+		r2, n2, err := reduceLight(c.Clone())
 		if err != nil {
-			t.Fatalf("reduce: %v", err)
+			t.Fatalf("reduceLight: %v", err)
 		}
 		if n1 != n2 || !reflect.DeepEqual(r1.Gates, r2.Gates) {
-			t.Fatalf("trial %d: nondeterministic reduce (%d vs %d rewrites)", trial, n1, n2)
+			t.Fatalf("trial %d: nondeterministic reduceLight (%d vs %d rewrites)", trial, n1, n2)
 		}
 	}
 }
@@ -165,7 +109,9 @@ func TestReduceDeterministic(t *testing.T) {
 // on hand-picked circuits: CNOT pair cancellation (plain Hopf), phase
 // folding through CNOT controls and targets, and inverse-phase
 // annihilation — each checked for both the expected shrink and unitary
-// equivalence.
+// equivalence. A second set of mixed circuits (empty, single gates, a
+// CNOT swap, an H expansion, X-basis runs) is checked for equivalence,
+// kept width and no growth.
 func TestReduceLightFixedCircuits(t *testing.T) {
 	cases := []struct {
 		c    *qc.Circuit
@@ -197,27 +143,54 @@ func TestReduceLightFixedCircuits(t *testing.T) {
 		}
 		mustEquivalent(t, tc.c.NumQubits(), tc.c, red)
 	}
-}
 
-// TestReduceLightRandomCircuits checks the wire-structured pass's
-// soundness the same way the graph-like chain is checked: seeded random
-// circuits must keep their unitary.
-func TestReduceLightRandomCircuits(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 60; trial++ {
-		qubits := 2 + rng.Intn(4)
-		gates := 5 + rng.Intn(36)
-		c := randomDecomposed(rng, qubits, gates)
+	mixed := []*qc.Circuit{
+		circuitOf(1),
+		circuitOf(1, qc.T(0)),
+		circuitOf(2, qc.CNOT(0, 1)),
+		circuitOf(2, qc.CNOT(1, 0)),
+		circuitOf(2, qc.CNOT(0, 1), qc.CNOT(1, 0), qc.CNOT(0, 1)), // swap
+		circuitOf(2, qc.P(0), qc.V(0), qc.P(0)),                   // H
+		circuitOf(2, qc.T(0), qc.T(0), qc.CNOT(0, 1), qc.Tdag(1)),
+		circuitOf(3, qc.CNOT(0, 1), qc.CNOT(1, 2), qc.V(1), qc.CNOT(0, 2), qc.Z(2)),
+		circuitOf(2, qc.V(0), qc.V(0), qc.NOT(0), qc.CNOT(0, 1)),
+	}
+	for i, c := range mixed {
 		red, _, err := reduceLight(c)
 		if err != nil {
-			t.Errorf("trial %d (%d qubits, %d gates): reduceLight: %v", trial, qubits, gates, err)
+			t.Errorf("mixed case %d: reduceLight: %v", i, err)
 			continue
 		}
-		if len(red.Gates) > len(c.Gates) {
-			t.Errorf("trial %d: light pass grew the circuit %d -> %d gates",
-				trial, len(c.Gates), len(red.Gates))
+		if red.NumQubits() != c.NumQubits() || len(red.Gates) > len(c.Gates) {
+			t.Errorf("mixed case %d: %d qubits %d gates -> %d qubits %d gates",
+				i, c.NumQubits(), len(c.Gates), red.NumQubits(), len(red.Gates))
+			continue
 		}
-		mustEquivalent(t, qubits, c, red)
+		mustEquivalent(t, c.NumQubits(), c, red)
+	}
+}
+
+// TestReduceLightRandomCircuits is the main soundness check: across many
+// seeded random circuits the light pass must keep the unitary and never
+// grow the gate count.
+func TestReduceLightRandomCircuits(t *testing.T) {
+	for _, seed := range []int64{13, 7} {
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 60; trial++ {
+			qubits := 2 + rng.Intn(4) // 2..5
+			gates := 5 + rng.Intn(36)
+			c := randomDecomposed(rng, qubits, gates)
+			red, _, err := reduceLight(c)
+			if err != nil {
+				t.Errorf("seed %d trial %d (%d qubits, %d gates): reduceLight: %v", seed, trial, qubits, gates, err)
+				continue
+			}
+			if len(red.Gates) > len(c.Gates) {
+				t.Errorf("seed %d trial %d: light pass grew the circuit %d -> %d gates",
+					seed, trial, len(c.Gates), len(red.Gates))
+			}
+			mustEquivalent(t, qubits, c, red)
+		}
 	}
 }
 

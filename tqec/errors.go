@@ -17,8 +17,6 @@ const (
 	StageBridging   Stage = "bridging"
 	StagePlacement  Stage = "placement"
 	StageRouting    Stage = "routing"
-	StagePartition  Stage = "partition" // qubit-interaction-graph cut (CompilePartitionedContext)
-	StageStitch     Stage = "stitch"    // slab translation and seam routing (CompilePartitionedContext)
 )
 
 // Sentinel errors of the failure taxonomy. They are shared with the

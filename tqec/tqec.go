@@ -45,7 +45,6 @@ import (
 	"repro/internal/icm"
 	"repro/internal/metrics"
 	"repro/internal/modular"
-	"repro/internal/partition"
 	"repro/internal/place"
 	"repro/internal/qc"
 	"repro/internal/route"
@@ -79,8 +78,9 @@ type Options struct {
 	Bridging bool
 	// ZX enables the ZX-calculus pre-compression pass on the decomposed
 	// circuit before ICM conversion (disable for the paper-faithful
-	// ablation). The pass is self-checking: it keeps the original
-	// decomposition unless the rewritten one strictly lowers the
+	// ablation). The pass is a single wire-structured rewrite (phase
+	// folding and CNOT cancellation) and is self-checking: it keeps the
+	// original decomposition unless the rewritten one strictly lowers the
 	// canonical space-time volume, so enabling it never worsens the
 	// result (see internal/zx).
 	ZX bool
@@ -110,13 +110,6 @@ type Options struct {
 	Place place.Options
 	// Route configures the dual-defect net router.
 	Route route.Options
-	// Partition configures the qubit-interaction-graph partitioner used
-	// by CompilePartitionedContext: a positive MaxQubitsPerPart splits
-	// the decomposed circuit into independently compiled sub-circuits
-	// stitched into disjoint time slabs (see internal/partition).
-	// CompileContext ignores it; CompilePartitionedContext with a
-	// non-positive cap behaves exactly like CompileContext.
-	Partition partition.Options
 }
 
 // DefaultOptions returns the journal-version flow with the paper's SA
@@ -381,7 +374,7 @@ func compileFrom(ctx context.Context, res *Result, opts Options) (*Result, error
 
 // placeWithRetry runs SA placement, re-validating the result and retrying
 // with a derived seed and an escalated iteration budget when validation
-// fails. Hard errors (cancellation, recovered restart panics) are not
+// fails. Hard errors (cancellation, recovered chain panics) are not
 // retried.
 func (res *Result) placeWithRetry(ctx context.Context, cl *cluster.Clustering, opts Options) error {
 	attempts := opts.Retry.MaxAttempts
