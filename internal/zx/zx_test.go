@@ -109,9 +109,7 @@ func TestReduceDeterministic(t *testing.T) {
 // on hand-picked circuits: CNOT pair cancellation (plain Hopf), phase
 // folding through CNOT controls and targets, and inverse-phase
 // annihilation — each checked for both the expected shrink and unitary
-// equivalence. A second set of mixed circuits (empty, single gates, a
-// CNOT swap, an H expansion, X-basis runs) is checked for equivalence,
-// kept width and no growth.
+// equivalence.
 func TestReduceLightFixedCircuits(t *testing.T) {
 	cases := []struct {
 		c    *qc.Circuit
@@ -143,8 +141,14 @@ func TestReduceLightFixedCircuits(t *testing.T) {
 		}
 		mustEquivalent(t, tc.c.NumQubits(), tc.c, red)
 	}
+}
 
-	mixed := []*qc.Circuit{
+// TestReduceFixedCircuits runs the rewrite pass (no cost fall-back) on
+// hand-picked mixed circuits — empty, single gates, a CNOT swap, an H
+// expansion, X-basis runs — and checks unitary equivalence, kept width
+// and no growth.
+func TestReduceFixedCircuits(t *testing.T) {
+	cases := []*qc.Circuit{
 		circuitOf(1),
 		circuitOf(1, qc.T(0)),
 		circuitOf(2, qc.CNOT(0, 1)),
@@ -155,14 +159,14 @@ func TestReduceLightFixedCircuits(t *testing.T) {
 		circuitOf(3, qc.CNOT(0, 1), qc.CNOT(1, 2), qc.V(1), qc.CNOT(0, 2), qc.Z(2)),
 		circuitOf(2, qc.V(0), qc.V(0), qc.NOT(0), qc.CNOT(0, 1)),
 	}
-	for i, c := range mixed {
+	for i, c := range cases {
 		red, _, err := reduceLight(c)
 		if err != nil {
-			t.Errorf("mixed case %d: reduceLight: %v", i, err)
+			t.Errorf("case %d: reduceLight: %v", i, err)
 			continue
 		}
 		if red.NumQubits() != c.NumQubits() || len(red.Gates) > len(c.Gates) {
-			t.Errorf("mixed case %d: %d qubits %d gates -> %d qubits %d gates",
+			t.Errorf("case %d: %d qubits %d gates -> %d qubits %d gates",
 				i, c.NumQubits(), len(c.Gates), red.NumQubits(), len(red.Gates))
 			continue
 		}
@@ -170,27 +174,39 @@ func TestReduceLightFixedCircuits(t *testing.T) {
 	}
 }
 
-// TestReduceLightRandomCircuits is the main soundness check: across many
-// seeded random circuits the light pass must keep the unitary and never
-// grow the gate count.
+// TestReduceLightRandomCircuits checks the light pass's soundness on
+// seeded random circuits: it must keep the unitary and never grow the
+// gate count.
 func TestReduceLightRandomCircuits(t *testing.T) {
-	for _, seed := range []int64{13, 7} {
-		rng := rand.New(rand.NewSource(seed))
-		for trial := 0; trial < 60; trial++ {
-			qubits := 2 + rng.Intn(4) // 2..5
-			gates := 5 + rng.Intn(36)
-			c := randomDecomposed(rng, qubits, gates)
-			red, _, err := reduceLight(c)
-			if err != nil {
-				t.Errorf("seed %d trial %d (%d qubits, %d gates): reduceLight: %v", seed, trial, qubits, gates, err)
-				continue
-			}
-			if len(red.Gates) > len(c.Gates) {
-				t.Errorf("seed %d trial %d: light pass grew the circuit %d -> %d gates",
-					seed, trial, len(c.Gates), len(red.Gates))
-			}
-			mustEquivalent(t, qubits, c, red)
+	checkReduceRandom(t, 13)
+}
+
+// TestReduceRandomCircuits is the main soundness check: across many
+// seeded random circuits the rewrite pass must implement the same
+// unitary as the input.
+func TestReduceRandomCircuits(t *testing.T) {
+	checkReduceRandom(t, 7)
+}
+
+// checkReduceRandom runs the rewrite pass on 60 random decomposed
+// circuits drawn from seed and checks equivalence and no growth.
+func checkReduceRandom(t *testing.T, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < 60; trial++ {
+		qubits := 2 + rng.Intn(4) // 2..5
+		gates := 5 + rng.Intn(36)
+		c := randomDecomposed(rng, qubits, gates)
+		red, _, err := reduceLight(c)
+		if err != nil {
+			t.Errorf("trial %d (%d qubits, %d gates): reduceLight: %v", trial, qubits, gates, err)
+			continue
 		}
+		if len(red.Gates) > len(c.Gates) {
+			t.Errorf("trial %d: rewrite pass grew the circuit %d -> %d gates",
+				trial, len(c.Gates), len(red.Gates))
+		}
+		mustEquivalent(t, qubits, c, red)
 	}
 }
 
