@@ -1,9 +1,9 @@
-# Build/verify entry points. `make ci` is the full gate: vet, the
-# repo-specific tqeclint analyzers (doccomment included — the docs gate),
-# build, race-enabled tests, a replay of the committed fuzz corpora, a
-# one-iteration bench-json smoke run that validates the BENCH_*.json
-# schema round-trips, and a bounded chaos soak of the resilient service
-# layer (`make chaos`).
+# Build/verify entry points. `make ci` is the full gate: a gofmt check,
+# vet, the repo-specific tqeclint analyzers (doccomment included — the
+# docs gate), build, race-enabled tests, a replay of the committed fuzz
+# corpora, a one-iteration bench-json smoke run that validates the
+# BENCH_*.json schema round-trips, and a bounded chaos soak of the
+# resilient service layer (`make chaos`).
 
 GO ?= go
 
@@ -13,12 +13,16 @@ GO ?= go
 COVER_MIN ?= 79
 COVER_OUT ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/tqec_cover.out
 
-.PHONY: all build vet lint test race cover fuzz-seeds bench bench-json bench-smoke check chaos ci
+.PHONY: all build fmt vet lint test race cover fuzz-seeds bench bench-json bench-smoke check chaos ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Fail if any Go file in the tree is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -94,4 +98,4 @@ CHAOS_SECONDS ?= 30
 chaos:
 	TQEC_CHAOS_SECONDS=$(CHAOS_SECONDS) $(GO) test -race -count=1 -run TestChaosSoak -timeout 10m ./internal/harness
 
-ci: vet lint build race cover fuzz-seeds check bench-smoke chaos
+ci: fmt vet lint build race cover fuzz-seeds check bench-smoke chaos

@@ -35,6 +35,10 @@ type Tree struct {
 	free []int
 	// lastInsert remembers the node allocated by the latest Insert.
 	lastInsert int
+	// horizon (Pack's contour) and stack (RandomNode's walk) are scratch
+	// buffers reused across calls, so neither allocates once warm.
+	horizon []int
+	stack   []int
 }
 
 // NewTree builds a tree over the given blocks (by index into blocks),
@@ -91,55 +95,70 @@ func (t *Tree) Pack() (w, h int) {
 	if t.root < 0 {
 		return 0, 0
 	}
-	horizon := make([]int, 0, 64)
-	maxAt := func(x0, x1 int) int {
-		m := 0
-		for x := x0; x < x1 && x < len(horizon); x++ {
-			if horizon[x] > m {
-				m = horizon[x]
-			}
-		}
-		return m
+	t.horizon = t.horizon[:0]
+	return t.place(t.root, 0, 0, 0)
+}
+
+// place packs the subtree rooted at n with n's left edge at x (children in
+// preorder: left abuts on +x, right shares x) and returns the extents (w, h)
+// grown to cover it.
+func (t *Tree) place(n, x, w, h int) (int, int) {
+	b := t.blocks[t.nodes[n].block]
+	y := t.maxAt(x, x+b.W)
+	b.X, b.Y = x, y
+	t.raise(x, x+b.W, y+b.H)
+	w = max(w, x+b.W)
+	h = max(h, y+b.H)
+	if l := t.nodes[n].left; l >= 0 {
+		w, h = t.place(l, x+b.W, w, h)
 	}
-	raise := func(x0, x1, y int) {
-		for len(horizon) < x1 {
-			horizon = append(horizon, 0)
-		}
-		for x := x0; x < x1; x++ {
-			horizon[x] = y
-		}
+	if r := t.nodes[n].right; r >= 0 {
+		w, h = t.place(r, x, w, h)
 	}
-	var place func(n, x int)
-	place = func(n, x int) {
-		b := t.blocks[t.nodes[n].block]
-		y := maxAt(x, x+b.W)
-		b.X, b.Y = x, y
-		raise(x, x+b.W, y+b.H)
-		if b.X+b.W > w {
-			w = b.X + b.W
-		}
-		if y+b.H > h {
-			h = y + b.H
-		}
-		if l := t.nodes[n].left; l >= 0 {
-			place(l, x+b.W)
-		}
-		if r := t.nodes[n].right; r >= 0 {
-			place(r, x)
-		}
-	}
-	place(t.root, 0)
 	return w, h
 }
 
-// RandomNode returns a uniformly random live node index, or -1 if empty.
+// maxAt returns the contour height over [x0, x1).
+func (t *Tree) maxAt(x0, x1 int) int {
+	m := 0
+	for x := x0; x < x1 && x < len(t.horizon); x++ {
+		m = max(m, t.horizon[x])
+	}
+	return m
+}
+
+// raise sets the contour over [x0, x1) to y.
+func (t *Tree) raise(x0, x1, y int) {
+	for len(t.horizon) < x1 {
+		t.horizon = append(t.horizon, 0)
+	}
+	for x := x0; x < x1; x++ {
+		t.horizon[x] = y
+	}
+}
+
+// RandomNode returns a uniformly random live node index, or -1 if empty. It
+// draws k := rng.Intn(Len()) and returns the k-th node in preorder.
 func (t *Tree) RandomNode(rng *rand.Rand) int {
 	if t.Len() == 0 {
 		return -1
 	}
-	var live []int
-	t.walk(t.root, func(n int) { live = append(live, n) })
-	return live[rng.Intn(len(live))]
+	k := rng.Intn(t.Len())
+	t.stack = append(t.stack[:0], t.root)
+	for {
+		n := t.stack[len(t.stack)-1]
+		if k == 0 {
+			return n
+		}
+		k--
+		t.stack = t.stack[:len(t.stack)-1]
+		if r := t.nodes[n].right; r >= 0 {
+			t.stack = append(t.stack, r)
+		}
+		if l := t.nodes[n].left; l >= 0 {
+			t.stack = append(t.stack, l)
+		}
+	}
 }
 
 // BlockAt returns the block index stored at node n.
@@ -235,6 +254,16 @@ func (t *Tree) alloc(b int) int {
 // NodeOfLastInsert returns the node index allocated by the most recent
 // Insert call.
 func (t *Tree) NodeOfLastInsert() int { return t.lastInsert }
+
+// CopyFrom overwrites t's topology with src's, reusing t's storage; t
+// keeps its own block storage. It is the allocation-free counterpart of
+// CloneInto for trees private to one owner.
+func (t *Tree) CopyFrom(src *Tree) {
+	t.nodes = append(t.nodes[:0], src.nodes...)
+	t.root = src.root
+	t.free = append(t.free[:0], src.free...)
+	t.lastInsert = src.lastInsert
+}
 
 // CloneInto returns a deep copy of the tree's topology sharing the given
 // block storage (block coordinates are recomputed on every Pack, so only

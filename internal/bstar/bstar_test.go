@@ -2,6 +2,7 @@ package bstar
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -196,39 +197,53 @@ func TestBlocksListsMembers(t *testing.T) {
 	}
 }
 
+// quickBlocks turns a quick.Check byte slice into 2–12 small blocks (two
+// bytes per block) and their total area; ok is false when sizes is too
+// short to be interesting.
+func quickBlocks(sizes []uint8) (blocks []*Block, area int, ok bool) {
+	if len(sizes) < 4 {
+		return nil, 0, false
+	}
+	if len(sizes) > 24 {
+		sizes = sizes[:24]
+	}
+	for i := 0; i+1 < len(sizes); i += 2 {
+		w, h := 1+int(sizes[i]%6), 1+int(sizes[i+1]%6)
+		blocks = append(blocks, &Block{W: w, H: h})
+		area += w * h
+	}
+	return blocks, area, true
+}
+
+// perturbStep applies one random remove/re-insert or swap to tr.
+func perturbStep(tr *Tree, rng *rand.Rand) {
+	switch rng.Intn(2) {
+	case 0:
+		n := tr.RandomNode(rng)
+		b := tr.Remove(n)
+		if tr.Len() == 0 {
+			_ = tr.Insert(b, -1, true)
+		} else {
+			_ = tr.Insert(b, tr.RandomNode(rng), rng.Intn(2) == 0)
+		}
+	case 1:
+		a, b := tr.RandomNode(rng), tr.RandomNode(rng)
+		tr.SwapBlocks(a, b)
+	}
+}
+
 // Property: any random perturbation sequence keeps the packing overlap-free
 // and the tree valid, and packing area ≥ total block area.
 func TestQuickPerturbationsSafe(t *testing.T) {
 	f := func(sizes []uint8, seed int64) bool {
-		if len(sizes) < 4 {
+		blocks, area, ok := quickBlocks(sizes)
+		if !ok {
 			return true
-		}
-		if len(sizes) > 24 {
-			sizes = sizes[:24]
-		}
-		var blocks []*Block
-		area := 0
-		for i := 0; i+1 < len(sizes); i += 2 {
-			w, h := 1+int(sizes[i]%6), 1+int(sizes[i+1]%6)
-			blocks = append(blocks, &Block{W: w, H: h})
-			area += w * h
 		}
 		tr := NewTree(blocks, allIdx(len(blocks)))
 		rng := rand.New(rand.NewSource(seed))
 		for step := 0; step < 40; step++ {
-			switch rng.Intn(2) {
-			case 0:
-				n := tr.RandomNode(rng)
-				b := tr.Remove(n)
-				if tr.Len() == 0 {
-					_ = tr.Insert(b, -1, true)
-				} else {
-					_ = tr.Insert(b, tr.RandomNode(rng), rng.Intn(2) == 0)
-				}
-			case 1:
-				a, b := tr.RandomNode(rng), tr.RandomNode(rng)
-				tr.SwapBlocks(a, b)
-			}
+			perturbStep(tr, rng)
 			if tr.Validate() != nil {
 				return false
 			}
@@ -251,13 +266,101 @@ func TestQuickPerturbationsSafe(t *testing.T) {
 	}
 }
 
-func BenchmarkPack(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
+// randomNodeReference is the collect-then-index RandomNode that the
+// preorder walk replaced, kept as its oracle: gather every live node in
+// preorder, then index with a single rng.Intn draw.
+func randomNodeReference(t *Tree, rng *rand.Rand) int {
+	if t.Len() == 0 {
+		return -1
+	}
+	var live []int
+	t.walk(t.root, func(n int) { live = append(live, n) })
+	return live[rng.Intn(len(live))]
+}
+
+// Property: along random remove/insert/swap sequences, RandomNode returns
+// the reference's node and leaves its rng in the reference's state.
+func TestRandomNodeMatchesReference(t *testing.T) {
+	f := func(sizes []uint8, seed int64) bool {
+		blocks, _, ok := quickBlocks(sizes)
+		if !ok {
+			return true
+		}
+		tr := NewTree(blocks, allIdx(len(blocks)))
+		rng := rand.New(rand.NewSource(seed))
+		got := rand.New(rand.NewSource(seed ^ 1))
+		want := rand.New(rand.NewSource(seed ^ 1))
+		for step := 0; step < 40; step++ {
+			for draw := 0; draw < 3; draw++ {
+				if tr.RandomNode(got) != randomNodeReference(tr, want) {
+					return false
+				}
+				if got.Int63() != want.Int63() {
+					return false
+				}
+			}
+			perturbStep(tr, rng)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCopyFrom(t *testing.T) {
+	blocks := mkBlocks([2]int{2, 2}, [2]int{3, 1}, [2]int{1, 4}, [2]int{2, 3}, [2]int{1, 1})
+	src := NewTree(blocks, allIdx(len(blocks)))
+	dst := NewTree(blocks, nil)
+	dst.CopyFrom(src)
+	want := dst.Blocks()
+	wantW, wantH := dst.Pack()
+
+	rng := rand.New(rand.NewSource(11))
+	for step := 0; step < 50; step++ {
+		perturbStep(src, rng)
+	}
+	if err := dst.Validate(); err != nil {
+		t.Fatalf("copy invalid after source mutation: %v", err)
+	}
+	if got := dst.Blocks(); !slices.Equal(got, want) {
+		t.Fatalf("copy changed with its source: %v, want %v", got, want)
+	}
+	if w, h := dst.Pack(); w != wantW || h != wantH {
+		t.Fatalf("copy packs to %d×%d, want %d×%d", w, h, wantW, wantH)
+	}
+}
+
+// bigTree returns a complete tree of n random blocks.
+func bigTree(seed int64, n int) *Tree {
+	rng := rand.New(rand.NewSource(seed))
 	var blocks []*Block
-	for i := 0; i < 500; i++ {
+	for i := 0; i < n; i++ {
 		blocks = append(blocks, &Block{W: 2 + rng.Intn(20), H: 2 + rng.Intn(8)})
 	}
-	tr := NewTree(blocks, allIdx(len(blocks)))
+	return NewTree(blocks, allIdx(len(blocks)))
+}
+
+func TestPackAllocs(t *testing.T) {
+	tr := bigTree(4, 200)
+	tr.Pack()
+	if n := testing.AllocsPerRun(1000, func() { tr.Pack() }); n != 0 {
+		t.Fatalf("Pack allocates %v times per call", n)
+	}
+}
+
+func TestRandomNodeAllocs(t *testing.T) {
+	tr := bigTree(4, 200)
+	rng := rand.New(rand.NewSource(9))
+	tr.RandomNode(rng)
+	if n := testing.AllocsPerRun(1000, func() { tr.RandomNode(rng) }); n != 0 {
+		t.Fatalf("RandomNode allocates %v times per call", n)
+	}
+}
+
+func BenchmarkPack(b *testing.B) {
+	tr := bigTree(4, 500)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Pack()
@@ -271,6 +374,7 @@ func BenchmarkPerturbPack(b *testing.B) {
 		blocks = append(blocks, &Block{W: 2 + rng.Intn(20), H: 2 + rng.Intn(8)})
 	}
 	tr := NewTree(blocks, allIdx(len(blocks)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := tr.RandomNode(rng)

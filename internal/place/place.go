@@ -15,15 +15,23 @@
 // program order along the time axis.
 //
 // For efficiency the engine packs only the tiers touched by a
-// perturbation, keeps per-tier extents cached, and undoes rejected moves
-// by restoring just the affected trees.
+// perturbation and keeps per-tier extents cached. The move loop allocates
+// nothing once warm: a move is a plain value, swaps are undone by swapping
+// back, and a tree move first copies the trees it touches into per-tier
+// spare trees owned by the engine, so a rejected move is undone by
+// swapping the spare and live pointers. Positions, saved extents and the
+// TSL sort buffer are engine scratch reused by every move. Only
+// best-forest snapshots are fresh clones, because other chains may read
+// them.
 package place
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/bridge"
@@ -154,6 +162,17 @@ type engine struct {
 	// Cached per-tier pack extents; dirty tiers are repacked lazily.
 	tierW, tierH []int
 
+	// spare holds one engine-private tree per tier. A tree move first
+	// copies the trees it touches into their spares and a rejected move is
+	// undone by swapping the pointers back. Spares are never published to
+	// snapshots or the exchanger.
+	spare []*bstar.Tree
+	// Scratch reused by every move: saved tier extents, super positions
+	// and the TSL sort buffer.
+	savedW, savedH []int
+	pos            []geom.Point
+	tslPos         []geom.Point
+
 	// pinSuper/pinLocal approximate each net pin by its module center
 	// within its super-module.
 	pinSuper map[int]int
@@ -246,6 +265,7 @@ func (e *engine) resizeTSLs() {
 
 func (e *engine) buildBlocks() {
 	e.blocks = make([]*bstar.Block, len(e.cl.Supers))
+	e.pos = make([]geom.Point, len(e.cl.Supers))
 	for i := range e.cl.Supers {
 		e.blocks[i] = &bstar.Block{
 			W: e.sizes[i].X + 2*e.opts.Margin,
@@ -306,8 +326,10 @@ func (e *engine) assignTiers() error {
 	}
 	e.tierW = make([]int, n)
 	e.tierH = make([]int, n)
+	e.spare = make([]*bstar.Tree, n)
 	for t := range e.trees {
-		e.tierW[t], e.tierH[t] = e.trees[t].Pack()
+		e.repack(t)
+		e.spare[t] = bstar.NewTree(e.blocks, nil)
 	}
 	return nil
 }
@@ -378,22 +400,20 @@ func (e *engine) buildPinMap() {
 	}
 }
 
-// repack refreshes the cached extents of the given tiers.
-func (e *engine) repack(tiers ...int) {
-	for _, t := range tiers {
-		e.tierW[t], e.tierH[t] = e.trees[t].Pack()
-	}
+// repack refreshes the cached extents of tier t.
+func (e *engine) repack(t int) {
+	e.tierW[t], e.tierH[t] = e.trees[t].Pack()
 }
 
 // positions extracts absolute super origins from the cached packings, with
-// TSL reallocation applied.
+// TSL reallocation applied. The result is the engine's reused buffer: it is
+// valid until the next call.
 func (e *engine) positions() []geom.Point {
-	pos := make([]geom.Point, len(e.blocks))
 	for i, b := range e.blocks {
-		pos[i] = geom.Pt(b.X+e.opts.Margin, b.Y+e.opts.Margin, 1+e.tierOf[i]*e.pitch)
+		e.pos[i] = geom.Pt(b.X+e.opts.Margin, b.Y+e.opts.Margin, 1+e.tierOf[i]*e.pitch)
 	}
-	e.reallocateTSLs(pos)
-	return pos
+	e.reallocateTSLs(e.pos)
+	return e.pos
 }
 
 // reallocateTSLs restores per-qubit T ordering: the equally-sized supers of
@@ -404,21 +424,22 @@ func (e *engine) reallocateTSLs(pos []geom.Point) {
 		if len(tsl) < 2 {
 			continue
 		}
-		positions := make([]geom.Point, len(tsl))
-		for i, id := range tsl {
-			positions[i] = pos[id]
+		e.tslPos = e.tslPos[:0]
+		for _, id := range tsl {
+			e.tslPos = append(e.tslPos, pos[id])
 		}
-		sort.Slice(positions, func(i, j int) bool {
-			if positions[i].X != positions[j].X {
-				return positions[i].X < positions[j].X
+		// Equal keys are equal points, so the unstable sort is exact.
+		slices.SortFunc(e.tslPos, func(a, b geom.Point) int {
+			if a.X != b.X {
+				return cmp.Compare(a.X, b.X)
 			}
-			if positions[i].Z != positions[j].Z {
-				return positions[i].Z < positions[j].Z
+			if a.Z != b.Z {
+				return cmp.Compare(a.Z, b.Z)
 			}
-			return positions[i].Y < positions[j].Y
+			return cmp.Compare(a.Y, b.Y)
 		})
 		for i, id := range tsl { // tsl is already in Seq order
-			pos[id] = positions[i]
+			pos[id] = e.tslPos[i]
 		}
 	}
 }
@@ -455,69 +476,79 @@ func (e *engine) cost() float64 {
 		e.opts.Gamma*dr*dr
 }
 
-// move describes one perturbation and how to undo it.
+// moveKind names the four perturbations of Section III-C2.
+type moveKind int
+
+const (
+	intraSwap moveKind = iota
+	interSwap
+	intraMove
+	interMove
+)
+
+// move describes one applied perturbation: enough to repack the touched
+// tiers and to undo it without allocating.
 type move struct {
-	tiers []int // affected tiers
-	undo  func()
+	kind   moveKind
+	t1, t2 int // touched tiers; t2 is -1 for intra-tree moves
+	a, b   int // swapped nodes (swaps only)
+	blk    int // block moved by an inter-tree move
 }
 
-// perturb applies one random perturbation; returns nil when the draw was a
+// perturb applies one random perturbation; ok is false when the draw was a
 // no-op.
-func (e *engine) perturb() *move {
+func (e *engine) perturb() (mv move, ok bool) {
 	switch e.rng.Intn(4) {
 	case 0: // intra-tree swap
 		t := e.rng.Intn(len(e.trees))
 		tr := e.trees[t]
 		if tr.Len() < 2 {
-			return nil
+			return move{}, false
 		}
 		a, b := tr.RandomNode(e.rng), tr.RandomNode(e.rng)
 		if a == b {
-			return nil
+			return move{}, false
 		}
 		tr.SwapBlocks(a, b)
-		return &move{tiers: []int{t}, undo: func() { tr.SwapBlocks(a, b) }}
+		return move{kind: intraSwap, t1: t, t2: -1, a: a, b: b}, true
 	case 1: // inter-tree swap
 		if len(e.trees) < 2 {
-			return nil
+			return move{}, false
 		}
 		t1, t2 := e.rng.Intn(len(e.trees)), e.rng.Intn(len(e.trees))
 		if t1 == t2 || e.trees[t1].Len() == 0 || e.trees[t2].Len() == 0 {
-			return nil
+			return move{}, false
 		}
 		a, b := e.trees[t1].RandomNode(e.rng), e.trees[t2].RandomNode(e.rng)
 		ba, bb := e.trees[t1].BlockAt(a), e.trees[t2].BlockAt(b)
 		bstar.SwapBlocksAcross(e.trees[t1], a, e.trees[t2], b)
 		e.tierOf[ba], e.tierOf[bb] = t2, t1
-		return &move{tiers: []int{t1, t2}, undo: func() {
-			bstar.SwapBlocksAcross(e.trees[t1], a, e.trees[t2], b)
-			e.tierOf[ba], e.tierOf[bb] = t1, t2
-		}}
-	case 2: // intra-tree move (restore by tree snapshot)
+		return move{kind: interSwap, t1: t1, t2: t2, a: a, b: b}, true
+	case 2: // intra-tree move (undone from the tier's spare)
 		t := e.rng.Intn(len(e.trees))
 		tr := e.trees[t]
 		if tr.Len() < 2 {
-			return nil
+			return move{}, false
 		}
-		saved := tr.CloneInto(e.blocks)
+		e.spare[t].CopyFrom(tr)
 		n := tr.RandomNode(e.rng)
 		b := tr.Remove(n)
 		p := tr.RandomNode(e.rng)
 		if err := tr.Insert(b, p, e.rng.Intn(2) == 0); err != nil {
-			e.trees[t] = saved
-			return nil
+			e.swapSpares(t, -1)
+			return move{}, false
 		}
-		return &move{tiers: []int{t}, undo: func() { e.trees[t] = saved }}
+		return move{kind: intraMove, t1: t, t2: -1}, true
 	default: // inter-tree move
 		if len(e.trees) < 2 {
-			return nil
+			return move{}, false
 		}
 		t1, t2 := e.rng.Intn(len(e.trees)), e.rng.Intn(len(e.trees))
 		if t1 == t2 || e.trees[t1].Len() < 2 {
-			return nil
+			return move{}, false
 		}
-		saved1 := e.trees[t1].CloneInto(e.blocks)
-		saved2 := e.trees[t2].CloneInto(e.blocks)
+		e.spare[t1].CopyFrom(e.trees[t1])
+		e.spare[t2].CopyFrom(e.trees[t2])
 		n := e.trees[t1].RandomNode(e.rng)
 		b := e.trees[t1].Remove(n)
 		var err error
@@ -527,14 +558,50 @@ func (e *engine) perturb() *move {
 			err = e.trees[t2].Insert(b, e.trees[t2].RandomNode(e.rng), e.rng.Intn(2) == 0)
 		}
 		if err != nil {
-			e.trees[t1], e.trees[t2] = saved1, saved2
-			return nil
+			e.swapSpares(t1, t2)
+			return move{}, false
 		}
 		e.tierOf[b] = t2
-		return &move{tiers: []int{t1, t2}, undo: func() {
-			e.trees[t1], e.trees[t2] = saved1, saved2
-			e.tierOf[b] = t1
-		}}
+		return move{kind: interMove, t1: t1, t2: t2, blk: b}, true
+	}
+}
+
+// repackMove saves the cached tier extents and repacks the tiers mv
+// touched.
+func (e *engine) repackMove(mv move) {
+	e.savedW = append(e.savedW[:0], e.tierW...)
+	e.savedH = append(e.savedH[:0], e.tierH...)
+	e.repack(mv.t1)
+	if mv.t2 >= 0 {
+		e.repack(mv.t2)
+	}
+}
+
+// undo reverts a move applied by perturb and repacked by repackMove.
+func (e *engine) undo(mv move) {
+	copy(e.tierW, e.savedW)
+	copy(e.tierH, e.savedH)
+	switch mv.kind {
+	case intraSwap:
+		e.trees[mv.t1].SwapBlocks(mv.a, mv.b)
+	case interSwap:
+		bstar.SwapBlocksAcross(e.trees[mv.t1], mv.a, e.trees[mv.t2], mv.b)
+		e.tierOf[e.trees[mv.t1].BlockAt(mv.a)] = mv.t1
+		e.tierOf[e.trees[mv.t2].BlockAt(mv.b)] = mv.t2
+	case intraMove:
+		e.swapSpares(mv.t1, -1)
+	case interMove:
+		e.swapSpares(mv.t1, mv.t2)
+		e.tierOf[mv.blk] = mv.t1
+	}
+}
+
+// swapSpares exchanges the live trees of the given tiers (t2 may be -1)
+// with their spares, restoring the forest saved before a tree move.
+func (e *engine) swapSpares(t1, t2 int) {
+	e.trees[t1], e.spare[t1] = e.spare[t1], e.trees[t1]
+	if t2 >= 0 {
+		e.trees[t2], e.spare[t2] = e.spare[t2], e.trees[t2]
 	}
 }
 
@@ -576,14 +643,12 @@ func (e *engine) anneal(ctx context.Context, ex *exchanger, chain int) error {
 				sinceBest = 0
 			}
 		}
-		mv := e.perturb()
-		if mv == nil {
+		mv, ok := e.perturb()
+		if !ok {
 			continue
 		}
 		e.moves++
-		savedW := append([]int(nil), e.tierW...)
-		savedH := append([]int(nil), e.tierH...)
-		e.repack(mv.tiers...)
+		e.repackMove(mv)
 		next := e.cost()
 		accept := next <= cur || e.rng.Float64() < math.Exp(-(next-cur)/temp)
 		if accept {
@@ -596,9 +661,7 @@ func (e *engine) anneal(ctx context.Context, ex *exchanger, chain int) error {
 				sinceBest++
 			}
 		} else {
-			mv.undo()
-			copy(e.tierW, savedW)
-			copy(e.tierH, savedH)
+			e.undo(mv)
 			sinceBest++
 		}
 		// Restart from the best solution when stuck deep in the schedule.
@@ -627,16 +690,14 @@ func (e *engine) restoreBest() {
 		e.trees[i] = t.CloneInto(e.blocks)
 	}
 	copy(e.tierOf, e.bestTierOf)
-	all := make([]int, len(e.trees))
-	for i := range all {
-		all[i] = i
+	for t := range e.trees {
+		e.repack(t)
 	}
-	e.repack(all...)
 }
 
 // placement materializes the final placement.
 func (e *engine) placement() *Placement {
-	pos := e.positions()
+	pos := slices.Clone(e.positions())
 	wl := 0
 	for _, n := range e.netList {
 		a := pos[n.sa].Add(n.la)

@@ -301,3 +301,38 @@ func mustGen(tb testing.TB, spec qc.BenchmarkSpec) *qc.Circuit {
 	}
 	return c
 }
+
+// TestMoveCycleAllocs pins the allocation-free SA move loop: once the
+// engine's scratch and spare trees are warm, a perturb → repack → cost →
+// undo cycle allocates nothing.
+func TestMoveCycleAllocs(t *testing.T) {
+	spec, err := qc.BenchmarkByName("4gt10-v1_81")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, nets := pipeline(t, mustGen(t, spec))
+	e, err := newEngine(cl, nets, quickOpts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.trees) < 2 || len(cl.TSLs) == 0 {
+		t.Fatalf("want inter-tree moves and TSL reallocation: %d tiers, %d TSLs", len(e.trees), len(cl.TSLs))
+	}
+	// Each cycle applies exactly one move: AllocsPerRun truncates the mean,
+	// so counting no-op draws would dilute a per-move allocation to zero.
+	cycle := func() {
+		mv, ok := e.perturb()
+		for !ok {
+			mv, ok = e.perturb()
+		}
+		e.repackMove(mv)
+		e.cost()
+		e.undo(mv)
+	}
+	for i := 0; i < 1000; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("SA move cycle allocates %v times per move", n)
+	}
+}
