@@ -1,9 +1,10 @@
 # Build/verify entry points. `make ci` is the full gate: a gofmt check,
 # vet, the repo-specific tqeclint analyzers (doccomment included — the
-# docs gate), build, race-enabled tests, a replay of the committed fuzz
-# corpora, a one-iteration bench-json smoke run that validates the
-# BENCH_*.json schema round-trips, and a bounded chaos soak of the
-# resilient service layer (`make chaos`).
+# docs gate), build, the perfbench module's vet and tests, race-enabled
+# tests, a replay of the committed fuzz corpora, a one-iteration
+# bench-json smoke run that validates the BENCH_*.json schema
+# round-trips, and a bounded chaos soak of the resilient service layer
+# (`make chaos`).
 
 GO ?= go
 
@@ -13,7 +14,7 @@ GO ?= go
 COVER_MIN ?= 79
 COVER_OUT ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/tqec_cover.out
 
-.PHONY: all build fmt vet lint test race cover fuzz-seeds bench bench-json bench-smoke check chaos ci
+.PHONY: all build fmt vet lint perfbench test race cover fuzz-seeds bench bench-json bench-smoke check chaos ci
 
 all: build
 
@@ -37,6 +38,12 @@ LINT_FACTS ?= .cache/lint
 LINT_FLAGS ?=
 lint:
 	$(GO) run ./cmd/tqeclint -facts-dir '$(LINT_FACTS)' $(LINT_FLAGS) ./...
+
+# perfbench/ is its own module (replace repro => ../), so `./...` above
+# never compiles it; vet and test it here so a library API change cannot
+# silently break the benchmark harness.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...
@@ -98,4 +105,4 @@ CHAOS_SECONDS ?= 30
 chaos:
 	TQEC_CHAOS_SECONDS=$(CHAOS_SECONDS) $(GO) test -race -count=1 -run TestChaosSoak -timeout 10m ./internal/harness
 
-ci: fmt vet lint build race cover fuzz-seeds check bench-smoke chaos
+ci: fmt vet lint build perfbench race cover fuzz-seeds check bench-smoke chaos

@@ -6,6 +6,7 @@ package repro
 // the resulting space-time volume so sweeps expose the trade-off.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -25,7 +26,7 @@ func ablationCompile(b *testing.B, mutate func(*tqec.Options)) *tqec.Result {
 	if mutate != nil {
 		mutate(&opts)
 	}
-	res, err := tqec.Compile(mustGen(b, spec), opts)
+	res, err := tqec.CompileContext(context.Background(), mustGen(b, spec), opts)
 	if err != nil {
 		b.Fatal(err)
 	}

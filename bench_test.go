@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/baseline"
@@ -39,7 +40,7 @@ func compileOnce(b *testing.B, mutate func(*tqec.Options)) *tqec.Result {
 	if mutate != nil {
 		mutate(&opts)
 	}
-	res, err := tqec.CompileBenchmark(benchmarkCircuit, opts)
+	res, err := tqec.CompileBenchmark(context.Background(), benchmarkCircuit, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func BenchmarkFigMotivation(b *testing.B) {
 		c.Append(qc.CNOT(0, 1), qc.CNOT(1, 2), qc.CNOT(0, 2))
 		opts := tqec.DefaultOptions()
 		opts.Place.Seed = benchSeed
-		res, err := tqec.Compile(c, opts)
+		res, err := tqec.CompileContext(context.Background(), c, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,7 +210,7 @@ func BenchmarkFigBoxes(b *testing.B) {
 		opts := tqec.DefaultOptions()
 		opts.Place.Seed = benchSeed
 		opts.NoBoxes = true
-		res, err := tqec.CompileICM(distill.YCircuit(), opts)
+		res, err := tqec.CompileICMContext(context.Background(), distill.YCircuit(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -31,6 +31,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -144,7 +145,7 @@ func main() {
 func figures(which string, all bool, seed int64, cfg harness.Config) error {
 	out := os.Stdout
 	if all || which == "motivation" {
-		if err := harness.FigMotivation(out, seed); err != nil {
+		if err := harness.FigMotivation(context.Background(), out, seed); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)
@@ -157,7 +158,7 @@ func figures(which string, all bool, seed int64, cfg harness.Config) error {
 	}
 	if all || which == "friendnet" {
 		name := cfg.Benchmarks[0]
-		if err := harness.FigFriendNet(out, name, seed); err != nil {
+		if err := harness.FigFriendNet(context.Background(), out, name, seed); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -56,7 +57,7 @@ func main() {
 
 	opts := tqec.DefaultOptions()
 	opts.Place.Seed = *seed
-	res, err := tqec.Compile(circuit, opts)
+	res, err := tqec.CompileContext(context.Background(), circuit, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

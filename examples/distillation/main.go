@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,7 @@ func run(name string, ic *icm.Circuit, manual int) {
 	// The noisy input states ARE the injections here; no further
 	// distillation boxes feed them.
 	opts.NoBoxes = true
-	res, err := tqec.CompileICM(ic, opts)
+	res, err := tqec.CompileICMContext(context.Background(), ic, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

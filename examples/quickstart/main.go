@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,7 @@ func main() {
 
 	opts := tqec.DefaultOptions()
 	opts.Place.Seed = 42
-	res, err := tqec.Compile(c, opts)
+	res, err := tqec.CompileContext(context.Background(), c, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

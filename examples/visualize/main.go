@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -24,7 +25,7 @@ func main() {
 
 	opts := tqec.DefaultOptions()
 	opts.Place.Seed = *seed
-	res, err := tqec.CompileBenchmark(*bench, opts)
+	res, err := tqec.CompileBenchmark(context.Background(), *bench, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,91 +69,66 @@ func samePlacement(a, b *place.Placement) error {
 }
 
 // DiffSerialRouting cross-checks the router's batched first pass against
-// the serial pass across every scheduler mode: the conflict-graph batched
+// the serial pass under both search kernels: the conflict-graph batched
 // implementation only co-schedules nets whose search regions are pairwise
-// disjoint and commits in net order, so for the plain configuration, the
-// unidirectional-only configuration, and (when friend nets are enabled)
-// the multi-terminal Steiner configuration the two modes must agree on
-// every routed cell and every diagnostic counter. The Steiner result is
-// additionally re-verified structurally, since its terminal rule (group
-// connectivity) differs from the two-pin modes.
+// disjoint and commits in net order, so for the default (bidirectional)
+// configuration and the unidirectional-only configuration the two modes
+// must agree on every routed cell and every diagnostic counter.
 func DiffSerialRouting(ctx context.Context, res *tqec.Result, opts tqec.Options) error {
-	base := opts.Route
-	modes := []struct {
-		label string
-		mut   func(*route.Options)
-	}{
-		{"default", func(*route.Options) {}},
-		{"unidirectional", func(o *route.Options) { o.Bidirectional = false }},
+	if err := diffRoutePair(ctx, res, opts.Route, "default"); err != nil {
+		return err
 	}
-	if base.FriendNets {
-		modes = append(modes, struct {
-			label string
-			mut   func(*route.Options)
-		}{"steiner", func(o *route.Options) { o.Steiner = true }})
-	}
-	for _, m := range modes {
-		mopts := base
-		m.mut(&mopts)
-		par, err := diffRoutePair(ctx, res, mopts, m.label)
-		if err != nil {
-			return err
-		}
-		if mopts.Steiner {
-			if err := route.VerifyStructure(res.Placement, par); err != nil {
-				return fmt.Errorf("%s: %w", m.label, err)
-			}
-		}
-	}
-	return nil
+	uni := opts.Route
+	uni.Bidirectional = false
+	return diffRoutePair(ctx, res, uni, "unidirectional")
 }
 
 // diffRoutePair routes the placement serially and batched under the same
-// options and returns the batched result after asserting both runs are
-// identical in every deterministic field.
-func diffRoutePair(ctx context.Context, res *tqec.Result, ropts route.Options, label string) (*route.Result, error) {
+// options and asserts both runs are identical in every deterministic
+// field.
+func diffRoutePair(ctx context.Context, res *tqec.Result, ropts route.Options, label string) error {
 	serialOpts := ropts
 	serialOpts.Serial = true
 	serial, err := route.RunContext(ctx, res.Placement, serialOpts)
 	if err != nil {
-		return nil, fmt.Errorf("%s serial: %w", label, err)
+		return fmt.Errorf("%s serial: %w", label, err)
 	}
 	parOpts := ropts
 	parOpts.Serial = false
 	par, err := route.RunContext(ctx, res.Placement, parOpts)
 	if err != nil {
-		return nil, fmt.Errorf("%s batched: %w", label, err)
+		return fmt.Errorf("%s batched: %w", label, err)
 	}
 	if len(serial.Routes) != len(par.Routes) {
-		return nil, fmt.Errorf("%s: serial routed %d nets, batched %d", label, len(serial.Routes), len(par.Routes))
+		return fmt.Errorf("%s: serial routed %d nets, batched %d", label, len(serial.Routes), len(par.Routes))
 	}
 	for id, sp := range serial.Routes {
 		pp, ok := par.Routes[id]
 		if !ok {
-			return nil, fmt.Errorf("%s: net %d routed serially but not batched", label, id)
+			return fmt.Errorf("%s: net %d routed serially but not batched", label, id)
 		}
 		if len(sp) != len(pp) {
-			return nil, fmt.Errorf("%s: net %d path length %d serial vs %d batched", label, id, len(sp), len(pp))
+			return fmt.Errorf("%s: net %d path length %d serial vs %d batched", label, id, len(sp), len(pp))
 		}
 		for i := range sp {
 			if sp[i] != pp[i] {
-				return nil, fmt.Errorf("%s: net %d cell %d: %v serial vs %v batched", label, id, i, sp[i], pp[i])
+				return fmt.Errorf("%s: net %d cell %d: %v serial vs %v batched", label, id, i, sp[i], pp[i])
 			}
 		}
 	}
 	if serial.Bounds != par.Bounds {
-		return nil, fmt.Errorf("%s: bounds %v serial vs %v batched", label, serial.Bounds, par.Bounds)
+		return fmt.Errorf("%s: bounds %v serial vs %v batched", label, serial.Bounds, par.Bounds)
 	}
 	if serial.FirstPassRouted != par.FirstPassRouted ||
 		serial.Iterations != par.Iterations ||
 		serial.RippedUp != par.RippedUp ||
 		len(serial.Failed) != len(par.Failed) ||
 		len(serial.FallbackNets) != len(par.FallbackNets) {
-		return nil, fmt.Errorf("%s: diagnostics diverge: serial firstPass=%d iters=%d ripped=%d failed=%d fallback=%d, batched firstPass=%d iters=%d ripped=%d failed=%d fallback=%d",
+		return fmt.Errorf("%s: diagnostics diverge: serial firstPass=%d iters=%d ripped=%d failed=%d fallback=%d, batched firstPass=%d iters=%d ripped=%d failed=%d fallback=%d",
 			label, serial.FirstPassRouted, serial.Iterations, serial.RippedUp, len(serial.Failed), len(serial.FallbackNets),
 			par.FirstPassRouted, par.Iterations, par.RippedUp, len(par.Failed), len(par.FallbackNets))
 	}
-	return par, nil
+	return nil
 }
 
 // diffCacheBudget bounds the scratch cache used by DiffCacheBytes; any

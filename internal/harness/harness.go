@@ -359,12 +359,12 @@ func Table6(w io.Writer, rows []*Row) error {
 
 // FigMotivation reproduces the Fig. 4/5 narrative: the three-CNOT circuit
 // whose canonical volume is 54, compressed by the flow.
-func FigMotivation(w io.Writer, seed int64) error {
+func FigMotivation(ctx context.Context, w io.Writer, seed int64) error {
 	c := qc.New("fig4", 3)
 	c.Append(qc.CNOT(0, 1), qc.CNOT(1, 2), qc.CNOT(0, 2))
 	opts := tqec.DefaultOptions()
 	opts.Place.Seed = seed
-	res, err := tqec.Compile(c, opts)
+	res, err := tqec.CompileContext(ctx, c, opts)
 	if err != nil {
 		return err
 	}
@@ -392,7 +392,7 @@ func FigBoxes(w io.Writer) error {
 
 // FigFriendNet measures the friend-net routing effect (Fig. 19): the same
 // placement routed with and without friend-net awareness.
-func FigFriendNet(w io.Writer, name string, seed int64) error {
+func FigFriendNet(ctx context.Context, w io.Writer, name string, seed int64) error {
 	spec, err := qc.BenchmarkByName(name)
 	if err != nil {
 		return err
@@ -403,14 +403,14 @@ func FigFriendNet(w io.Writer, name string, seed int64) error {
 	if err != nil {
 		return err
 	}
-	res, err := tqec.Compile(c, opts)
+	res, err := tqec.CompileContext(ctx, c, opts)
 	if err != nil {
 		return err
 	}
 	// Re-route the identical placement without friend nets.
 	plain := route.DefaultOptions()
 	plain.FriendNets = false
-	res2, err := route.Run(res.Placement, plain)
+	res2, err := route.RunContext(ctx, res.Placement, plain)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -67,7 +68,7 @@ func TestRunProducesCompleteRow(t *testing.T) {
 
 func TestFigures(t *testing.T) {
 	var buf bytes.Buffer
-	if err := FigMotivation(&buf, 3); err != nil {
+	if err := FigMotivation(context.Background(), &buf, 3); err != nil {
 		t.Fatal(err)
 	}
 	FigBoxes(&buf)

@@ -107,29 +107,3 @@ func ExampleOptions() {
 	// Output:
 	// batched+bidi matches serial+uni: true
 }
-
-// ExampleOptions_steiner routes friend-net groups as multi-terminal
-// Steiner nets: every connected component of pin-sharing nets grows one
-// tree by nearest-terminal merging instead of routing each two-pin net
-// separately. The result carries the Steiner flag, and Verify switches to
-// the group-connectivity terminal rule (each routed net's pin pair must
-// be connected through the union of its group's paths).
-func ExampleOptions_steiner() {
-	pl := examplePlacement()
-
-	opts := route.DefaultOptions()
-	opts.Steiner = true // requires FriendNets (on by default)
-
-	res, err := route.Run(pl, opts)
-	if err != nil {
-		panic(err)
-	}
-
-	fmt.Println("steiner mode:", res.Steiner)
-	fmt.Println("all nets routed:", len(res.Routes) == len(pl.Nets))
-	fmt.Println("legal:", route.Verify(pl, res) == nil)
-	// Output:
-	// steiner mode: true
-	// all nets routed: true
-	// legal: true
-}

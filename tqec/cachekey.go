@@ -15,7 +15,7 @@ import (
 // cacheKeyVersion tags the option-encoding layout hashed into CacheKey;
 // bump it whenever a semantic Options field is added or the encoding
 // changes so old addresses can never alias new configurations.
-const cacheKeyVersion = 5
+const cacheKeyVersion = 6
 
 // CanonicalOptions returns a copy of opts normalized for content
 // addressing: non-semantic fields are cleared (Hooks callbacks, the
@@ -107,7 +107,6 @@ func appendOptions(b []byte, o Options) []byte {
 	b = appendI64(b, int64(o.Route.MaxExpansions))
 	b = appendBool(b, o.Route.Fallback)
 	b = appendBool(b, o.Route.Bidirectional)
-	b = appendBool(b, o.Route.Steiner)
 	return b
 }
 

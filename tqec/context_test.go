@@ -43,7 +43,7 @@ func TestCompileContextAlreadyCanceled(t *testing.T) {
 // Each iterative stage must individually observe an already-canceled
 // context and return ErrCanceled.
 func TestStageRunContextCanceled(t *testing.T) {
-	res, err := Compile(cnot3(), FastOptions())
+	res, err := CompileContext(context.Background(), cnot3(), FastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDeadlineAbortsMidSA(t *testing.T) {
 // A successful compile records exactly one placement attempt and no
 // fault-tolerance counters.
 func TestCleanCompileCountsNothing(t *testing.T) {
-	res, err := Compile(cnot3(), FastOptions())
+	res, err := CompileContext(context.Background(), cnot3(), FastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestUnroutableNetsDegradeOrFailStrict(t *testing.T) {
 	opts := FastOptions()
 	opts.Route.Fallback = false
 	opts.Route.FailNet = func(int) bool { return true }
-	res, err := Compile(cnot3(), opts)
+	res, err := CompileContext(context.Background(), cnot3(), opts)
 	if err != nil {
 		t.Fatalf("degraded compile should succeed, got %v", err)
 	}
@@ -130,7 +130,7 @@ func TestUnroutableNetsDegradeOrFailStrict(t *testing.T) {
 	}
 
 	opts.StrictRouting = true
-	if _, err := Compile(cnot3(), opts); !errors.Is(err, ErrUnroutable) {
+	if _, err := CompileContext(context.Background(), cnot3(), opts); !errors.Is(err, ErrUnroutable) {
 		t.Fatalf("strict routing: want ErrUnroutable, got %v", err)
 	} else if se, ok := AsStageError(err); !ok || se.Stage != StageRouting {
 		t.Fatalf("strict routing: want routing StageError, got %v", err)

@@ -1,6 +1,7 @@
 package tqec
 
 import (
+	"context"
 	"os"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ func TestStageProbe(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Place.Seed = 3
 	start := time.Now()
-	res, err := CompileBenchmark(name, opts)
+	res, err := CompileBenchmark(context.Background(), name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

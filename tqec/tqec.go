@@ -9,10 +9,11 @@
 //	→ modularization → iterative bridging → super-module clustering
 //	→ time-ordering-aware 2.5D placement (SA) → friend-net-aware routing.
 //
-// Compile runs the whole flow and returns every intermediate artifact plus
-// the final dimensions, volume and per-stage runtime breakdown; the
-// Options toggles reproduce the paper's ablations (bridging on/off for
-// Table V, primal-group clustering on/off for Table III).
+// CompileContext runs the whole flow and returns every intermediate
+// artifact plus the final dimensions, volume and per-stage runtime
+// breakdown; the Options toggles reproduce the paper's ablations
+// (bridging on/off for Table V, primal-group clustering on/off for Table
+// III).
 //
 // # Fault tolerance
 //
@@ -181,15 +182,10 @@ func (r *Result) CompressionRatio() float64 {
 	return float64(r.CanonicalVolume+r.BoxVolume) / float64(r.Volume)
 }
 
-// Compile runs the full compression flow on a reversible/quantum circuit.
-func Compile(c *qc.Circuit, opts Options) (*Result, error) {
-	//lint:ignore ctxflow sanctioned no-context entry point; CompileContext is the threaded variant
-	return CompileContext(context.Background(), c, opts)
-}
-
-// CompileContext is Compile with cancellation: ctx deadlines and cancels
-// abort the SA, negotiation and bridging loops within a bounded number of
-// iterations, returning a StageError wrapping ErrCanceled.
+// CompileContext runs the full compression flow on a reversible/quantum
+// circuit. ctx deadlines and cancels abort the SA, negotiation and
+// bridging loops within a bounded number of iterations, returning a
+// StageError wrapping ErrCanceled.
 func CompileContext(ctx context.Context, c *qc.Circuit, opts Options) (*Result, error) {
 	res := &Result{Circuit: c, Breakdown: metrics.NewBreakdown()}
 	err := runStage(res.Breakdown, metrics.StageOther, StagePreprocess, opts.Hooks, func() error {
@@ -239,15 +235,10 @@ func CompileContext(ctx context.Context, c *qc.Circuit, opts Options) (*Result, 
 	return compileFrom(ctx, res, opts)
 }
 
-// CompileICM runs the flow on a circuit already in ICM form (e.g. the
-// state distillation circuits of package distill, the workloads Fowler &
-// Devitt compressed by hand).
-func CompileICM(ic *icm.Circuit, opts Options) (*Result, error) {
-	//lint:ignore ctxflow sanctioned no-context entry point; CompileICMContext is the threaded variant
-	return CompileICMContext(context.Background(), ic, opts)
-}
-
-// CompileICMContext is CompileICM with cancellation (see CompileContext).
+// CompileICMContext runs the flow on a circuit already in ICM form (e.g.
+// the state distillation circuits of package distill, the workloads
+// Fowler & Devitt compressed by hand), with cancellation as in
+// CompileContext.
 func CompileICMContext(ctx context.Context, ic *icm.Circuit, opts Options) (*Result, error) {
 	res := &Result{ICM: ic, Breakdown: metrics.NewBreakdown()}
 	return compileFrom(ctx, res, opts)
@@ -417,8 +408,8 @@ func (res *Result) placeWithRetry(ctx context.Context, cl *cluster.Clustering, o
 }
 
 // CompileBenchmark generates one of the paper's RevLib benchmarks and
-// compiles it.
-func CompileBenchmark(name string, opts Options) (*Result, error) {
+// compiles it with CompileContext.
+func CompileBenchmark(ctx context.Context, name string, opts Options) (*Result, error) {
 	spec, err := qc.BenchmarkByName(name)
 	if err != nil {
 		return nil, err
@@ -427,15 +418,15 @@ func CompileBenchmark(name string, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Compile(c, opts)
+	return CompileContext(ctx, c, opts)
 }
 
 // Verify re-checks the result's structural guarantees: placement overlap
 // freedom, time-ordering constraints, and routing legality. Degraded
 // routing (fallback-routed or unrouted nets) fails verification with
 // ErrDegraded/ErrUnroutable so a silently-degraded result cannot pass.
-// It is meant for tests and examples; Compile's stages already maintain
-// these invariants.
+// It is meant for tests and examples; CompileContext's stages already
+// maintain these invariants.
 func (r *Result) Verify() error {
 	if err := r.Netlist.Validate(); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package tqec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/icm"
@@ -14,7 +15,7 @@ func TestCompileMotivatingExample(t *testing.T) {
 	c.Append(qc.CNOT(0, 1), qc.CNOT(1, 2), qc.CNOT(0, 2))
 	opts := FastOptions()
 	opts.Place.Seed = 11
-	res, err := Compile(c, opts)
+	res, err := CompileContext(context.Background(), c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestCompileWithTGates(t *testing.T) {
 	c.Append(qc.T(0), qc.CNOT(0, 1), qc.T(1))
 	opts := FastOptions()
 	opts.Place.Seed = 3
-	res, err := Compile(c, opts)
+	res, err := CompileContext(context.Background(), c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestCompileBenchmarkSmall(t *testing.T) {
 	opts := FastOptions()
 	opts.Place.Iterations = 600
 	opts.Place.Seed = 5
-	res, err := CompileBenchmark("4gt10-v1_81", opts)
+	res, err := CompileBenchmark(context.Background(), "4gt10-v1_81", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestAblationsChangeBehavior(t *testing.T) {
 
 	noBridge := base
 	noBridge.Bridging = false
-	rb, err := Compile(mk(), noBridge)
+	rb, err := CompileContext(context.Background(), mk(), noBridge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +118,11 @@ func TestAblationsChangeBehavior(t *testing.T) {
 
 	conf := base
 	conf.PrimalGroups = false
-	rc, err := Compile(mk(), conf)
+	rc, err := CompileContext(context.Background(), mk(), conf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rj, err := Compile(mk(), base)
+	rj, err := CompileContext(context.Background(), mk(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestBreakdownCoversStages(t *testing.T) {
 	c := qc.New("bd", 2)
 	c.Append(qc.T(0), qc.CNOT(0, 1))
 	opts := FastOptions()
-	res, err := Compile(c, opts)
+	res, err := CompileContext(context.Background(), c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestPipelineDeterminism(t *testing.T) {
 		c.Append(qc.T(0), qc.CNOT(0, 1), qc.T(1))
 		opts := FastOptions()
 		opts.Place.Seed = 21
-		return Compile(c, opts)
+		return CompileContext(context.Background(), c, opts)
 	}
 	r1, err := mk()
 	if err != nil {
@@ -187,7 +188,7 @@ func TestCompileICMDirect(t *testing.T) {
 	}
 	opts := FastOptions()
 	opts.Place.Seed = 2
-	res, err := CompileICM(circuit, opts)
+	res, err := CompileICMContext(context.Background(), circuit, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestCompileICMDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Decomposed != nil {
-		t.Fatal("CompileICM should skip decomposition")
+		t.Fatal("CompileICMContext should skip decomposition")
 	}
 	if res.CanonicalVolume != 54 {
 		t.Fatalf("canonical: %d", res.CanonicalVolume)
@@ -209,13 +210,13 @@ func TestPrimalGapOption(t *testing.T) {
 	}
 	base := FastOptions()
 	base.Place.Seed = 4
-	r1, err := Compile(mustGen(t, spec), base)
+	r1, err := CompileContext(context.Background(), mustGen(t, spec), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gapped := base
 	gapped.PrimalGap = 3
-	r2, err := Compile(mustGen(t, spec), gapped)
+	r2, err := CompileContext(context.Background(), mustGen(t, spec), gapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestPrimalGapOption(t *testing.T) {
 }
 
 func TestCompileBenchmarkUnknown(t *testing.T) {
-	if _, err := CompileBenchmark("nope", FastOptions()); err == nil {
+	if _, err := CompileBenchmark(context.Background(), "nope", FastOptions()); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -237,7 +238,7 @@ func TestCompileBenchmarkUnknown(t *testing.T) {
 func TestCompileRejectsInvalidCircuit(t *testing.T) {
 	c := qc.New("bad", 1)
 	c.Append(qc.CNOT(0, 7))
-	if _, err := Compile(c, FastOptions()); err == nil {
+	if _, err := CompileContext(context.Background(), c, FastOptions()); err == nil {
 		t.Fatal("invalid circuit accepted")
 	}
 }
