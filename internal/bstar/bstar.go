@@ -73,20 +73,16 @@ func NewTree(blocks []*Block, members []int) *Tree {
 // Len returns the number of packed blocks.
 func (t *Tree) Len() int { return len(t.nodes) - len(t.free) }
 
-// Blocks returns the block indices currently in the tree.
-func (t *Tree) Blocks() []int {
-	var out []int
-	t.walk(t.root, func(n int) { out = append(out, t.nodes[n].block) })
-	return out
-}
-
-func (t *Tree) walk(n int, f func(int)) {
-	if n < 0 {
-		return
+// AppendBlocks appends the block indices currently in the tree to dst, in
+// node-slot order, and returns the extended slice. It allocates only when
+// dst lacks capacity.
+func (t *Tree) AppendBlocks(dst []int) []int {
+	for _, n := range t.nodes {
+		if n.block >= 0 { // freed slots hold block -1
+			dst = append(dst, n.block)
+		}
 	}
-	f(n)
-	t.walk(t.nodes[n].left, f)
-	t.walk(t.nodes[n].right, f)
+	return dst
 }
 
 // Pack computes X/Y for every block in the tree and returns the bounding

@@ -189,11 +189,44 @@ func TestBlocksListsMembers(t *testing.T) {
 	blocks := mkBlocks([2]int{1, 1}, [2]int{1, 1}, [2]int{1, 1})
 	tr := NewTree(blocks, []int{2, 0, 1})
 	got := map[int]bool{}
-	for _, b := range tr.Blocks() {
+	for _, b := range tr.AppendBlocks(nil) {
 		got[b] = true
 	}
 	if !got[0] || !got[1] || !got[2] {
-		t.Fatalf("blocks: %v", tr.Blocks())
+		t.Fatalf("blocks: %v", tr.AppendBlocks(nil))
+	}
+}
+
+// Property: along random remove/insert/swap sequences, AppendBlocks lists
+// exactly the blocks of the reachable nodes, and appending into a buffer
+// with room allocates nothing.
+func TestAppendBlocksMatchesPreorder(t *testing.T) {
+	f := func(sizes []uint8, seed int64) bool {
+		blocks, _, ok := quickBlocks(sizes)
+		if !ok {
+			return true
+		}
+		tr := NewTree(blocks, allIdx(len(blocks)))
+		rng := rand.New(rand.NewSource(seed))
+		buf := make([]int, 0, len(blocks))
+		for step := 0; step < 30; step++ {
+			var want []int
+			for _, n := range preorder(tr, tr.root, nil) {
+				want = append(want, tr.BlockAt(n))
+			}
+			buf = tr.AppendBlocks(buf[:0])
+			got := slices.Clone(buf)
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				return false
+			}
+			perturbStep(tr, rng)
+		}
+		return testing.AllocsPerRun(10, func() { buf = tr.AppendBlocks(buf[:0]) }) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -273,9 +306,19 @@ func randomNodeReference(t *Tree, rng *rand.Rand) int {
 	if t.Len() == 0 {
 		return -1
 	}
-	var live []int
-	t.walk(t.root, func(n int) { live = append(live, n) })
+	live := preorder(t, t.root, nil)
 	return live[rng.Intn(len(live))]
+}
+
+// preorder appends the nodes of the subtree rooted at n to dst in
+// preorder: the reference traversal the tests check the tree against.
+func preorder(t *Tree, n int, dst []int) []int {
+	if n < 0 {
+		return dst
+	}
+	dst = append(dst, n)
+	dst = preorder(t, t.nodes[n].left, dst)
+	return preorder(t, t.nodes[n].right, dst)
 }
 
 // Property: along random remove/insert/swap sequences, RandomNode returns
@@ -313,7 +356,7 @@ func TestCopyFrom(t *testing.T) {
 	src := NewTree(blocks, allIdx(len(blocks)))
 	dst := NewTree(blocks, nil)
 	dst.CopyFrom(src)
-	want := dst.Blocks()
+	want := dst.AppendBlocks(nil)
 	wantW, wantH := dst.Pack()
 
 	rng := rand.New(rand.NewSource(11))
@@ -323,7 +366,7 @@ func TestCopyFrom(t *testing.T) {
 	if err := dst.Validate(); err != nil {
 		t.Fatalf("copy invalid after source mutation: %v", err)
 	}
-	if got := dst.Blocks(); !slices.Equal(got, want) {
+	if got := dst.AppendBlocks(nil); !slices.Equal(got, want) {
 		t.Fatalf("copy changed with its source: %v, want %v", got, want)
 	}
 	if w, h := dst.Pack(); w != wantW || h != wantH {

@@ -99,7 +99,7 @@ type Clustering struct {
 	OfModule []int
 	// TSLs maps each logical qubit to its time-dependent super-module IDs
 	// in program order (Section III-C2's time-dependent super-module
-	// lists).
+	// lists). TSLs are disjoint: a super belongs to at most one.
 	TSLs map[int][]int
 
 	noBoxes bool

@@ -201,6 +201,43 @@ func TestTSLOrdering(t *testing.T) {
 	}
 }
 
+// TestTSLsDisjoint pins the invariant the placer's TSL reallocation relies
+// on: every super belongs to at most one TSL, and to it at most once. The
+// placer re-sorts each TSL independently, which equals re-sorting them all
+// in any order only because no two TSLs share a super.
+func TestTSLsDisjoint(t *testing.T) {
+	multi := qc.New("tsls", 3)
+	multi.Append(qc.T(0), qc.CNOT(0, 1), qc.T(1), qc.T(0), qc.CNOT(1, 2), qc.T(2), qc.T(1))
+	circuits := []*qc.Circuit{multi}
+	for _, name := range []string{"4gt10-v1_81", "4gt4-v0_73"} {
+		spec, err := qc.BenchmarkByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, mustGen(t, spec))
+	}
+	for _, c := range circuits {
+		for _, bridged := range []bool{false, true} {
+			cl, err := Build(netlistFor(t, c, bridged), DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner := map[int]int{}
+			for q, tsl := range cl.TSLs {
+				for _, id := range tsl {
+					if prev, dup := owner[id]; dup {
+						t.Fatalf("%s (bridged=%v): super %d in the TSLs of qubits %d and %d", c.Name, bridged, id, prev, q)
+					}
+					owner[id] = q
+				}
+			}
+			if len(owner) == 0 {
+				t.Fatalf("%s (bridged=%v): no TSLs to check", c.Name, bridged)
+			}
+		}
+	}
+}
+
 func TestModuleSizeTracksLiveSegments(t *testing.T) {
 	c := qc.New("sz", 3)
 	c.Append(qc.CNOT(0, 1), qc.CNOT(1, 2))

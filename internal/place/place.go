@@ -19,14 +19,31 @@
 // nothing once warm: a move is a plain value, swaps are undone by swapping
 // back, and a tree move first copies the trees it touches into per-tier
 // spare trees owned by the engine, so a rejected move is undone by
-// swapping the spare and live pointers. Positions, saved extents and the
-// TSL sort buffer are engine scratch reused by every move. Only
+// swapping the spare and live pointers. Saved extents and the
+// wirelength cache below are engine-owned and reused by every move. Only
 // best-forest snapshots are fresh clones, because other chains may read
 // them.
+//
+// A move is scored by the work it touched, not by a full re-evaluation.
+// The engine caches every super's raw (pre-reallocation) and final origin,
+// every net's length and their total L. It keeps a super → incident-nets
+// adjacency, which leaves out the nets inside one super because their
+// length never changes, and a flat TSL table (qubit order, super → TSL
+// index) that holds each TSL's raw origins in sorted order. Packing a
+// tier, undoing a move and restoring the best forest mark tiers dirty;
+// cost() rescans only the blocks of dirty tiers, moves each changed raw
+// origin to its sorted place in its TSL, reassigns only the TSLs with a
+// changed member, and re-measures each net incident to a super whose final
+// origin changed once, using an epoch stamp. The cache reads block X/Y
+// exactly as a full rescan would, including the coordinates a rejected
+// move's repack leaves behind, so it mirrors the full evaluation move for
+// move. L is an integer, so the running total equals the full sum
+// (wireLength) exactly and Φ keeps its bits. Sorted order is unique
+// because equal keys are equal points, and reallocating TSLs one at a time
+// equals the whole-map reallocation because TSLs are disjoint.
 package place
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -167,17 +184,37 @@ type engine struct {
 	// undone by swapping the pointers back. Spares are never published to
 	// snapshots or the exchanger.
 	spare []*bstar.Tree
-	// Scratch reused by every move: saved tier extents, super positions
-	// and the TSL sort buffer.
+	// Scratch reused by every move: saved tier extents.
 	savedW, savedH []int
-	pos            []geom.Point
-	tslPos         []geom.Point
+
+	// Incremental wirelength cache (see the package doc). raw and pos are
+	// each super's origin before and after TSL reallocation as of the last
+	// refresh; netLen is each net's length and wl their sum.
+	raw, pos []geom.Point
+	netLen   []int
+	wl       int
+	// netsOf lists each super's incident nets: netsOf[netStart[s]:netStart[s+1]].
+	netStart, netsOf []int
+	// tslMembers holds each TSL of two or more supers in Seq order,
+	// tslMembers[tslStart[k]:tslStart[k+1]], in qubit order; tslOf maps a
+	// super to its TSL index, or -1. tslSorted holds, at the same indices,
+	// each TSL's raw origins kept sorted by tslLess.
+	tslStart, tslMembers, tslOf []int
+	tslSorted                   []geom.Point
+	// Dirty tiers awaiting a rescan, and per-refresh scratch. An epoch
+	// stamp marks the TSLs and nets already queued by the current refresh.
+	tierDirty          []bool
+	dirtyTiers         []int
+	epoch              int
+	tslStamp, netStamp []int
+	dirtyTSLs, touched []int
+	scan               []int
 
 	// pinSuper/pinLocal approximate each net pin by its module center
 	// within its super-module.
 	pinSuper map[int]int
 	pinLocal map[int]geom.Point
-	// netList is the dense (superA, localA, superB, localB) view of nets.
+	// netList is the dense view of nets.
 	netList []netRef
 
 	pitch        int
@@ -189,9 +226,12 @@ type engine struct {
 	bestCost   float64
 }
 
+// netRef is the dense view of one net: its pins' supers, and the offset
+// from pin B to pin A when both supers sit at the same origin, so the net's
+// length is |pos[sa] + off − pos[sb]|₁.
 type netRef struct {
 	sa, sb int
-	la, lb geom.Point
+	off    geom.Point
 }
 
 // EffectiveIterations returns the SA move budget Run will use for n blocks:
@@ -229,17 +269,48 @@ func newEngine(cl *cluster.Clustering, nets []bridge.Net, opts Options) (*engine
 		pinLocal: map[int]geom.Point{},
 		pitch:    pitch,
 	}
+	e.buildTSLTable()
 	e.resizeTSLs()
 	e.buildBlocks()
 	if err := e.assignTiers(); err != nil {
 		return nil, err
 	}
 	e.buildPinMap()
-	v, _, l := e.evaluateRaw()
+	e.buildCache()
+	v, _, _ := e.evaluateRaw()
 	e.vnorm = math.Max(1, float64(v))
-	e.lnorm = math.Max(1, float64(l))
+	e.lnorm = math.Max(1, float64(wireLength(e.netList, e.pos)))
 	return e, nil
 }
+
+// buildTSLTable flattens the clustering's TSLs of two or more supers into
+// the engine's table, in qubit order, so no move ranges over the map.
+func (e *engine) buildTSLTable() {
+	e.tslOf = make([]int, len(e.cl.Supers))
+	for i := range e.tslOf {
+		e.tslOf[i] = -1
+	}
+	qubits := make([]int, 0, len(e.cl.TSLs))
+	for q := range e.cl.TSLs {
+		qubits = append(qubits, q)
+	}
+	slices.Sort(qubits)
+	e.tslStart = []int{0}
+	for _, q := range qubits {
+		tsl := e.cl.TSLs[q]
+		if len(tsl) < 2 {
+			continue
+		}
+		for _, id := range tsl {
+			e.tslOf[id] = len(e.tslStart) - 1
+		}
+		e.tslMembers = append(e.tslMembers, tsl...)
+		e.tslStart = append(e.tslStart, len(e.tslMembers))
+	}
+}
+
+// tsl returns the supers of TSL k in Seq order.
+func (e *engine) tsl(k int) []int { return e.tslMembers[e.tslStart[k]:e.tslStart[k+1]] }
 
 // resizeTSLs grows every time-dependent super-module in a TSL to the
 // common maximum footprint so post-perturbation reallocation is
@@ -249,15 +320,12 @@ func (e *engine) resizeTSLs() {
 	for i, s := range e.cl.Supers {
 		e.sizes[i] = s.Size
 	}
-	for _, tsl := range e.cl.TSLs {
-		if len(tsl) < 2 {
-			continue
-		}
+	for k := range len(e.tslStart) - 1 {
 		var m geom.Point
-		for _, id := range tsl {
+		for _, id := range e.tsl(k) {
 			m = geom.MaxPoint(m, e.sizes[id])
 		}
-		for _, id := range tsl {
+		for _, id := range e.tsl(k) {
 			e.sizes[id] = m
 		}
 	}
@@ -265,7 +333,6 @@ func (e *engine) resizeTSLs() {
 
 func (e *engine) buildBlocks() {
 	e.blocks = make([]*bstar.Block, len(e.cl.Supers))
-	e.pos = make([]geom.Point, len(e.cl.Supers))
 	for i := range e.cl.Supers {
 		e.blocks[i] = &bstar.Block{
 			W: e.sizes[i].X + 2*e.opts.Margin,
@@ -326,6 +393,8 @@ func (e *engine) assignTiers() error {
 	}
 	e.tierW = make([]int, n)
 	e.tierH = make([]int, n)
+	e.tierDirty = make([]bool, n)
+	e.dirtyTiers = make([]int, 0, n)
 	e.spare = make([]*bstar.Tree, n)
 	for t := range e.trees {
 		e.repack(t)
@@ -394,58 +463,184 @@ func (e *engine) buildPinMap() {
 	e.netList = make([]netRef, len(e.nets))
 	for i, n := range e.nets {
 		e.netList[i] = netRef{
-			sa: e.pinSuper[n.PinA], la: e.pinLocal[n.PinA],
-			sb: e.pinSuper[n.PinB], lb: e.pinLocal[n.PinB],
+			sa:  e.pinSuper[n.PinA],
+			sb:  e.pinSuper[n.PinB],
+			off: e.pinLocal[n.PinA].Sub(e.pinLocal[n.PinB]),
 		}
 	}
 }
 
-// repack refreshes the cached extents of tier t.
-func (e *engine) repack(t int) {
-	e.tierW[t], e.tierH[t] = e.trees[t].Pack()
-}
-
-// positions extracts absolute super origins from the cached packings, with
-// TSL reallocation applied. The result is the engine's reused buffer: it is
-// valid until the next call.
-func (e *engine) positions() []geom.Point {
-	for i, b := range e.blocks {
-		e.pos[i] = geom.Pt(b.X+e.opts.Margin, b.Y+e.opts.Margin, 1+e.tierOf[i]*e.pitch)
-	}
-	e.reallocateTSLs(e.pos)
-	return e.pos
-}
-
-// reallocateTSLs restores per-qubit T ordering: the equally-sized supers of
-// each TSL are reassigned to their position multiset sorted by x (then
-// tier, then y), in Seq order.
-func (e *engine) reallocateTSLs(pos []geom.Point) {
-	for _, tsl := range e.cl.TSLs {
-		if len(tsl) < 2 {
+// buildCache sizes the incremental wirelength cache and fills it from the
+// initial packing. The zero origins it starts from (raw, final and sorted
+// alike) are never real, since tier bases sit at z ≥ 1, and assignTiers
+// left every tier dirty, so the first refresh places every super and
+// measures every net that spans two supers.
+//
+// A net inside one super (about half of them on 4gt4 and 4gt10)
+// keeps its length wherever the super sits, so it is measured here once
+// and left out of the adjacency.
+func (e *engine) buildCache() {
+	n := len(e.cl.Supers)
+	e.raw = make([]geom.Point, n)
+	e.pos = make([]geom.Point, n)
+	e.netLen = make([]int, len(e.netList))
+	e.netStart = make([]int, n+1)
+	for i, r := range e.netList {
+		if r.sa == r.sb {
+			e.netLen[i] = r.length(e.pos)
+			e.wl += e.netLen[i]
 			continue
 		}
-		e.tslPos = e.tslPos[:0]
-		for _, id := range tsl {
-			e.tslPos = append(e.tslPos, pos[id])
+		e.netStart[r.sa+1]++
+		e.netStart[r.sb+1]++
+	}
+	for s := range n {
+		e.netStart[s+1] += e.netStart[s]
+	}
+	e.netsOf = make([]int, e.netStart[n])
+	next := slices.Clone(e.netStart[:n])
+	for i, r := range e.netList {
+		if r.sa == r.sb {
+			continue
 		}
-		// Equal keys are equal points, so the unstable sort is exact.
-		slices.SortFunc(e.tslPos, func(a, b geom.Point) int {
-			if a.X != b.X {
-				return cmp.Compare(a.X, b.X)
+		e.netsOf[next[r.sa]] = i
+		next[r.sa]++
+		e.netsOf[next[r.sb]] = i
+		next[r.sb]++
+	}
+	ntsl := len(e.tslStart) - 1
+	e.netStamp = make([]int, len(e.netList))
+	e.tslStamp = make([]int, ntsl)
+	e.touched = make([]int, 0, len(e.netList))
+	e.dirtyTSLs = make([]int, 0, ntsl)
+	e.scan = make([]int, 0, n)
+	e.tslSorted = make([]geom.Point, len(e.tslMembers))
+	e.refresh()
+}
+
+// repack refreshes the cached extents of tier t and marks it dirty.
+func (e *engine) repack(t int) {
+	e.tierW[t], e.tierH[t] = e.trees[t].Pack()
+	e.markDirty(t)
+}
+
+// markDirty queues tier t for the next refresh.
+func (e *engine) markDirty(t int) {
+	if !e.tierDirty[t] {
+		e.tierDirty[t] = true
+		e.dirtyTiers = append(e.dirtyTiers, t)
+	}
+}
+
+// refresh brings the cached origins, net lengths and wl up to date with the
+// block coordinates of the dirty tiers: it rescans their blocks, keeps the
+// TSLs' sorted origins current, reassigns the TSLs with a moved member and
+// re-measures the nets of every super whose final origin changed.
+func (e *engine) refresh() {
+	e.epoch++
+	for _, t := range e.dirtyTiers {
+		e.tierDirty[t] = false
+		e.scan = e.trees[t].AppendBlocks(e.scan[:0])
+		for _, i := range e.scan {
+			b := e.blocks[i]
+			p := geom.Pt(b.X+e.opts.Margin, b.Y+e.opts.Margin, 1+e.tierOf[i]*e.pitch)
+			old := e.raw[i]
+			if p == old {
+				continue
 			}
-			if a.Z != b.Z {
-				return cmp.Compare(a.Z, b.Z)
+			e.raw[i] = p
+			k := e.tslOf[i]
+			if k < 0 {
+				e.setPos(i, p)
+				continue
 			}
-			return cmp.Compare(a.Y, b.Y)
-		})
-		for i, id := range tsl { // tsl is already in Seq order
-			pos[id] = e.tslPos[i]
+			e.resortTSL(k, old, p)
+			if e.tslStamp[k] != e.epoch {
+				e.tslStamp[k] = e.epoch
+				e.dirtyTSLs = append(e.dirtyTSLs, k)
+			}
 		}
 	}
+	e.dirtyTiers = e.dirtyTiers[:0]
+	for _, k := range e.dirtyTSLs {
+		e.reallocateTSL(k)
+	}
+	e.dirtyTSLs = e.dirtyTSLs[:0]
+	for _, n := range e.touched {
+		l := e.netList[n].length(e.pos)
+		e.wl += l - e.netLen[n]
+		e.netLen[n] = l
+	}
+	e.touched = e.touched[:0]
+}
+
+// setPos moves super s's final origin to p and queues its nets for
+// re-measurement if it changed.
+func (e *engine) setPos(s int, p geom.Point) {
+	if e.pos[s] == p {
+		return
+	}
+	e.pos[s] = p
+	for _, n := range e.netsOf[e.netStart[s]:e.netStart[s+1]] {
+		if e.netStamp[n] != e.epoch {
+			e.netStamp[n] = e.epoch
+			e.touched = append(e.touched, n)
+		}
+	}
+}
+
+// tslLess orders TSL origins by x, then tier, then y. Equal keys are equal
+// points, so a TSL's sorted origins are unique.
+func tslLess(a, b geom.Point) bool {
+	if a.X != b.X {
+		return a.X < b.X
+	}
+	if a.Z != b.Z {
+		return a.Z < b.Z
+	}
+	return a.Y < b.Y
+}
+
+// resortTSL replaces one copy of a member's old raw origin by its new one
+// in TSL k's sorted origins and moves it to its sorted place.
+func (e *engine) resortTSL(k int, old, p geom.Point) {
+	s := e.tslSorted[e.tslStart[k]:e.tslStart[k+1]]
+	i := slices.Index(s, old)
+	for ; i > 0 && tslLess(p, s[i-1]); i-- {
+		s[i] = s[i-1]
+	}
+	for ; i+1 < len(s) && tslLess(s[i+1], p); i++ {
+		s[i] = s[i+1]
+	}
+	s[i] = p
+}
+
+// reallocateTSL restores the T ordering of TSL k: its equally-sized supers
+// are reassigned to their sorted raw origins in Seq order.
+func (e *engine) reallocateTSL(k int) {
+	sorted := e.tslSorted[e.tslStart[k]:e.tslStart[k+1]]
+	for i, id := range e.tsl(k) {
+		e.setPos(id, sorted[i])
+	}
+}
+
+// length is the Manhattan distance between the net's two pins at the
+// given super origins.
+func (n netRef) length(pos []geom.Point) int {
+	return pos[n.sa].Add(n.off).Manhattan(pos[n.sb])
+}
+
+// wireLength is the full sum of the net lengths at the given super origins.
+func wireLength(nets []netRef, pos []geom.Point) int {
+	l := 0
+	for _, n := range nets {
+		l += n.length(pos)
+	}
+	return l
 }
 
 // evaluateRaw returns (volume, aspect ratio, wirelength) from the cached
-// tier packings.
+// tier packings, refreshing the wirelength cache first.
 func (e *engine) evaluateRaw() (v int, r float64, l int) {
 	depth, width := 0, 0
 	for t := range e.trees {
@@ -459,13 +654,8 @@ func (e *engine) evaluateRaw() (v int, r float64, l int) {
 	height := len(e.trees) * e.pitch
 	v = depth * width * height
 	r = float64(width) / float64(height)
-	pos := e.positions()
-	for _, n := range e.netList {
-		a := pos[n.sa].Add(n.la)
-		b := pos[n.sb].Add(n.lb)
-		l += a.Manhattan(b)
-	}
-	return v, r, l
+	e.refresh()
+	return v, r, e.wl
 }
 
 func (e *engine) cost() float64 {
@@ -577,10 +767,16 @@ func (e *engine) repackMove(mv move) {
 	}
 }
 
-// undo reverts a move applied by perturb and repacked by repackMove.
+// undo reverts a move applied by perturb and repacked by repackMove. The
+// blocks keep the coordinates the rejected repack wrote, but tree
+// membership and tiers change back, so the touched tiers are rescanned.
 func (e *engine) undo(mv move) {
 	copy(e.tierW, e.savedW)
 	copy(e.tierH, e.savedH)
+	e.markDirty(mv.t1)
+	if mv.t2 >= 0 {
+		e.markDirty(mv.t2)
+	}
 	switch mv.kind {
 	case intraSwap:
 		e.trees[mv.t1].SwapBlocks(mv.a, mv.b)
@@ -635,10 +831,7 @@ func (e *engine) anneal(ctx context.Context, ex *exchanger, chain int) error {
 			nextMilestone++
 			best := ex.exchange(chain, e.bestCost, e.bestTrees, e.bestTierOf)
 			if best.valid && best.chain != chain && best.cost < e.bestCost {
-				e.bestCost = best.cost
-				e.bestTrees = cloneTrees(best.trees, e.blocks)
-				e.bestTierOf = append([]int(nil), best.tierOf...)
-				e.restoreBest()
+				e.adopt(best)
 				cur = e.bestCost
 				sinceBest = 0
 			}
@@ -684,6 +877,17 @@ func (e *engine) snapshot() ([]*bstar.Tree, []int) {
 	return trees, append([]int(nil), e.tierOf...)
 }
 
+// adopt makes a peer chain's best forest this chain's best and current
+// forest.
+func (e *engine) adopt(o offer) {
+	e.bestCost = o.cost
+	e.bestTrees = cloneTrees(o.trees, e.blocks)
+	e.bestTierOf = append([]int(nil), o.tierOf...)
+	e.restoreBest()
+}
+
+// restoreBest makes the best forest current; repacking every tier marks
+// them all dirty.
 func (e *engine) restoreBest() {
 	e.trees = make([]*bstar.Tree, len(e.bestTrees))
 	for i, t := range e.bestTrees {
@@ -697,13 +901,9 @@ func (e *engine) restoreBest() {
 
 // placement materializes the final placement.
 func (e *engine) placement() *Placement {
-	pos := slices.Clone(e.positions())
-	wl := 0
-	for _, n := range e.netList {
-		a := pos[n.sa].Add(n.la)
-		b := pos[n.sb].Add(n.lb)
-		wl += a.Manhattan(b)
-	}
+	e.refresh()
+	pos := slices.Clone(e.pos)
+	wl := wireLength(e.netList, pos)
 	// TSL reallocation may have permuted supers across tiers; derive the
 	// final tier of each super from its resolved z.
 	tierOf := make([]int, len(pos))

@@ -318,21 +318,46 @@ func TestMoveCycleAllocs(t *testing.T) {
 	if len(e.trees) < 2 || len(cl.TSLs) == 0 {
 		t.Fatalf("want inter-tree moves and TSL reallocation: %d tiers, %d TSLs", len(e.trees), len(cl.TSLs))
 	}
-	// Each cycle applies exactly one move: AllocsPerRun truncates the mean,
-	// so counting no-op draws would dilute a per-move allocation to zero.
-	cycle := func() {
-		mv, ok := e.perturb()
-		for !ok {
-			mv, ok = e.perturb()
-		}
-		e.repackMove(mv)
-		e.cost()
-		e.undo(mv)
-	}
+	cycle := func() { moveCycle(e) }
 	for i := 0; i < 1000; i++ {
 		cycle()
 	}
 	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
 		t.Fatalf("SA move cycle allocates %v times per move", n)
+	}
+}
+
+// moveCycle applies exactly one move, scores it and undoes it. Skipping
+// no-op draws matters to TestMoveCycleAllocs: AllocsPerRun truncates the
+// mean, so counting no-op draws would dilute a per-move allocation to zero.
+func moveCycle(e *engine) {
+	mv, ok := e.perturb()
+	for !ok {
+		mv, ok = e.perturb()
+	}
+	e.repackMove(mv)
+	e.cost()
+	e.undo(mv)
+}
+
+// BenchmarkMoveCycle measures one perturb → repack → cost → undo cycle of
+// the SA kernel on 4gt10-v1_81 with the engine's caches warm.
+func BenchmarkMoveCycle(b *testing.B) {
+	spec, err := qc.BenchmarkByName("4gt10-v1_81")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, nets := pipeline(b, mustGen(b, spec))
+	e, err := newEngine(cl, nets, quickOpts(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		moveCycle(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		moveCycle(e)
 	}
 }
