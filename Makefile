@@ -83,11 +83,12 @@ bench-json:
 # measurement path and proves the JSON schema round-trips (-bench-out
 # re-reads and validates what it wrote; the self-compare exercises the
 # regression judge). `make bench` covers only the root package, so one
-# iteration of the in-package placer and B*-tree benchmarks runs here too.
+# iteration of the in-package placer, B*-tree and A* kernel benchmarks
+# runs here too.
 bench-smoke:
 	$(GO) run ./cmd/tqecbench -bench-out $${TMPDIR:-/tmp}/BENCH_ci_smoke.json -bench-iters 1
 	$(GO) run ./cmd/tqecbench -compare $${TMPDIR:-/tmp}/BENCH_ci_smoke.json $${TMPDIR:-/tmp}/BENCH_ci_smoke.json
-	$(GO) test -run '^$$' -bench 'MoveCycle|Pack' -benchtime 1x ./internal/place ./internal/bstar
+	$(GO) test -run '^$$' -bench 'MoveCycle|Pack|SearchKernels' -benchtime 1x ./internal/place ./internal/bstar ./internal/route
 
 # Differential and invariant verification (cmd/tqecverify): re-derives the
 # pipeline's structural guarantees on the seed benchmarks plus randomized

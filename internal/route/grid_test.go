@@ -141,14 +141,14 @@ func TestScratchGenerationReuse(t *testing.T) {
 	for _, dense := range []bool{true, false} {
 		var s searchState
 		s.reset(region, dense)
-		i := s.slot(c)
+		i := s.slot(s.key(c))
 		s.setG(i, 1.5, -1)
 		s.markTarget(i)
 		if !s.seen(i) || s.g[i] != 1.5 || s.parent[i] != -1 || !s.isTarget(i) {
 			t.Fatalf("dense=%v: setG/markTarget not visible in their own generation", dense)
 		}
 		s.reset(region, dense)
-		i = s.slot(c)
+		i = s.slot(s.key(c))
 		if s.seen(i) || s.isTarget(i) {
 			t.Fatalf("dense=%v: stale state visible after reset", dense)
 		}
@@ -158,7 +158,7 @@ func TestScratchGenerationReuse(t *testing.T) {
 		s.gen[i] = s.cur
 		s.tgen[i] = s.cur
 		s.reset(region, dense)
-		i = s.slot(c)
+		i = s.slot(s.key(c))
 		if s.cur == 0 || s.seen(i) || s.isTarget(i) {
 			t.Fatalf("dense=%v: wraparound left stale state (cur=%d)", dense, s.cur)
 		}

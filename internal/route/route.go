@@ -7,19 +7,23 @@
 // path instead of at the pin, a topological deformation that preserves the
 // braiding relationship (Fig. 19).
 //
-// The hot path is organized around three compounding optimizations:
-// bidirectional A* for single-start/single-target nets (search.go), a
-// conflict-graph batched first pass that colors the net-region overlap
-// graph and searches each independent set concurrently (schedule in
-// firstPass/colorBatches), and an incrementally maintained R-tree over
-// routed net bounds so rip-up victim scans never rebuild an index or walk
-// every route. Every mode is deterministic for a fixed input: see
-// ARCHITECTURE.md's "Routing" section for the contracts.
+// The hot path is organized around four compounding optimizations: an
+// exact-order bucket queue as the A* open list and bidirectional A* for
+// single-start/single-target nets (search.go), a conflict-graph batched
+// first pass that colors the net-region overlap graph and searches each
+// independent set concurrently (schedule in firstPass/colorBatches), and
+// an incrementally maintained R-tree over routed net bounds so rip-up
+// victim scans never rebuild an index or walk every route. Every mode is
+// deterministic for a fixed input: see ARCHITECTURE.md's "Routing"
+// section for the contracts.
 package route
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,7 +50,8 @@ type Options struct {
 	InitialMargin int
 	// ExpandStep widens a failed net's region each retry.
 	ExpandStep int
-	// HistoryWeight scales the congestion history cost.
+	// HistoryWeight scales the congestion history cost. It must be
+	// finite and non-negative.
 	HistoryWeight float64
 	// FriendNets toggles friend-net-aware targets (disable for the
 	// ablation: without bridging there are no shared pins anyway).
@@ -194,7 +199,7 @@ var endpointRebuilds atomic.Int64
 // netEndpoints is the cached start/target cell sets of one net: the two
 // (rehomed) pin cells plus, when FriendNets is enabled, every cell of
 // every committed friend path at the corresponding pin. The cells are
-// cellLess-sorted and deduplicated; sbox/tbox are the bounding boxes used
+// cellCmp-sorted and deduplicated; sbox/tbox are the bounding boxes used
 // as A* heuristic anchors. The cache is keyed by the two pins' revision
 // counters, which bump on every commit and uncommit of an incident net,
 // so a search only re-collects (and re-sorts) endpoints after they
@@ -205,7 +210,7 @@ type netEndpoints struct {
 	starts     []geom.Point
 	targets    []geom.Point
 	sbox, tbox geom.Box
-	// deg is the cellLess-smallest cell present in both sets (a friend
+	// deg is the cellCmp-smallest cell present in both sets (a friend
 	// path touching both pins); when hasDeg is set the net routes as the
 	// single-cell path {deg} without a search.
 	deg    geom.Point
@@ -278,6 +283,12 @@ func Run(p *place.Placement, opts Options) (*Result, error) {
 func RunContext(ctx context.Context, p *place.Placement, opts Options) (*Result, error) {
 	if opts.MaxIterations < 0 {
 		return nil, fmt.Errorf("route: negative iterations")
+	}
+	// A negative weight would let a step cost less than 1, breaking the
+	// monotone frontier the A* open list relies on; NaN breaks itemLess's
+	// total order.
+	if hw := opts.HistoryWeight; hw < 0 || math.IsNaN(hw) || math.IsInf(hw, 0) {
+		return nil, fmt.Errorf("route: history weight %v is not a finite non-negative number", hw)
 	}
 	if opts.MaxExpansions <= 0 {
 		opts.MaxExpansions = 200000
@@ -436,15 +447,9 @@ func (r *router) homePin(pid int, pos geom.Point, staticCells map[geom.Point]boo
 	if len(cands) == 0 {
 		return pos, fmt.Errorf("pin %d: no free cell in plane z=%d over module %d", pid, pos.Z, m)
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
-		}
-		a, b := cands[i].c, cands[j].c
-		if a.X != b.X {
-			return a.X < b.X
-		}
-		return a.Y < b.Y
+	// Candidates share the plane z, so (d, X, Y) never ties.
+	slices.SortFunc(cands, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.c.X, b.c.X), cmp.Compare(a.c.Y, b.c.Y))
 	})
 	return cands[0].c, nil
 }
@@ -618,7 +623,7 @@ func (r *router) firstPass(order []int, margin []int) (failed []int) {
 		}
 	}
 	// Batches interleave the order, so restore the serial failure order.
-	sort.Slice(failed, func(i, j int) bool { return pos[failed[i]] < pos[failed[j]] })
+	slices.SortFunc(failed, func(a, b int) int { return cmp.Compare(pos[a], pos[b]) })
 	return failed
 }
 
@@ -1045,7 +1050,7 @@ func (r *router) endpointsFor(n bridge.Net) *netEndpoints {
 	ep.tbox = cellsBounds(ep.targets)
 	// Degenerate: a start cell that is already a target (friend paths
 	// touching) routes with a single-cell path; both lists are
-	// cellLess-sorted, so the first merge match is the lowest such cell
+	// cellCmp-sorted, so the first merge match is the lowest such cell
 	// and the choice never depends on iteration order.
 	ep.hasDeg = false
 	for i, j := 0, 0; i < len(ep.starts) && j < len(ep.targets); {
@@ -1054,7 +1059,7 @@ func (r *router) endpointsFor(n bridge.Net) *netEndpoints {
 			ep.deg, ep.hasDeg = s, true
 			break
 		}
-		if cellLess(s, t) {
+		if cellCmp(s, t) < 0 {
 			i++
 		} else {
 			j++
@@ -1065,7 +1070,7 @@ func (r *router) endpointsFor(n bridge.Net) *netEndpoints {
 }
 
 // endpointCells appends the pin's cell and (with FriendNets) every cell
-// of every committed friend path at the pin, then sorts by cellLess and
+// of every committed friend path at the pin, then sorts by cellCmp and
 // deduplicates.
 func (r *router) endpointCells(dst []geom.Point, n bridge.Net, pin int) []geom.Point {
 	dst = append(dst, r.pinCell[pin])
@@ -1077,7 +1082,7 @@ func (r *router) endpointCells(dst []geom.Point, n bridge.Net, pin int) []geom.P
 			dst = append(dst, r.routes[fid]...)
 		}
 	}
-	sort.Slice(dst, func(i, j int) bool { return cellLess(dst[i], dst[j]) })
+	slices.SortFunc(dst, cellCmp)
 	out := dst[:0]
 	for i, c := range dst {
 		if i == 0 || c != dst[i-1] {

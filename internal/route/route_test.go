@@ -2,6 +2,7 @@ package route
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -18,6 +19,13 @@ import (
 )
 
 func placed(t testing.TB, c *qc.Circuit, bridged bool, saIters int) *place.Placement {
+	t.Helper()
+	return placedChains(t, c, bridged, saIters, 0)
+}
+
+// placedChains is placed with an explicit annealing chain count; 0 keeps
+// the default, which follows GOMAXPROCS.
+func placedChains(t testing.TB, c *qc.Circuit, bridged bool, saIters, chains int) *place.Placement {
 	t.Helper()
 	r, err := decompose.Decompose(c)
 	if err != nil {
@@ -46,6 +54,7 @@ func placed(t testing.TB, c *qc.Circuit, bridged bool, saIters int) *place.Place
 	po := place.DefaultOptions()
 	po.Iterations = saIters
 	po.Seed = 7
+	po.Chains = chains
 	pl, err := place.Run(cl, br.Nets, po)
 	if err != nil {
 		t.Fatal(err)
@@ -440,5 +449,45 @@ func TestNegotiationReanchorsFriendTerminals(t *testing.T) {
 	}
 	if err := Verify(pl, res); err != nil {
 		t.Fatalf("post-negotiation verify: %v", err)
+	}
+}
+
+// RunContext must reject options the router cannot honour before it
+// builds anything: a negative iteration bound, and a history weight that
+// is negative (a step could cost less than 1, breaking the monotone A*
+// frontier), NaN (breaking the frontier's total order) or infinite.
+// Zero and the default weight route normally.
+func TestRunRejectsBadOptions(t *testing.T) {
+	c := qc.New("opts", 2)
+	c.Append(qc.CNOT(0, 1))
+	pl := placed(t, c, false, 50)
+	cases := []struct {
+		name    string
+		mutate  func(*Options)
+		wantErr string
+	}{
+		{"default", func(*Options) {}, ""},
+		{"zero history weight", func(o *Options) { o.HistoryWeight = 0 }, ""},
+		{"negative iterations", func(o *Options) { o.MaxIterations = -1 }, "negative iterations"},
+		{"negative history weight", func(o *Options) { o.HistoryWeight = -0.5 }, "history weight"},
+		{"NaN history weight", func(o *Options) { o.HistoryWeight = math.NaN() }, "history weight"},
+		{"+Inf history weight", func(o *Options) { o.HistoryWeight = math.Inf(1) }, "history weight"},
+		{"-Inf history weight", func(o *Options) { o.HistoryWeight = math.Inf(-1) }, "history weight"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			tc.mutate(&opts)
+			res, err := Run(pl, opts)
+			if tc.wantErr == "" {
+				if err != nil || len(res.Failed) != 0 {
+					t.Fatalf("want a clean routing, got err=%v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("want an error mentioning %q, got %v", tc.wantErr, err)
+			}
+		})
 	}
 }

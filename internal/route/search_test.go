@@ -9,12 +9,13 @@ import (
 	"repro/internal/bridge"
 	"repro/internal/geom"
 	"repro/internal/place"
+	"repro/internal/qc"
 	"repro/internal/rtree"
 )
 
 // newTestRouter builds a router over pl exactly as RunContext does, but
 // stops before routing so tests can drive internal phases directly.
-func newTestRouter(t *testing.T, pl *place.Placement, opts Options) *router {
+func newTestRouter(t testing.TB, pl *place.Placement, opts Options) *router {
 	t.Helper()
 	if opts.MaxExpansions <= 0 {
 		opts.MaxExpansions = 200000
@@ -296,4 +297,62 @@ func TestRoutingStatsCollected(t *testing.T) {
 			untimed.Stats.Searches, timed.Stats.Searches)
 	}
 	sameRouting(t, "timed vs untimed", timed, untimed)
+}
+
+// BenchmarkSearchKernels times the two A* kernels on a routed state with
+// congestion history charged: the small random circuit of
+// TestRoutingGolden is routed (its negotiation rips up nets), every
+// fourth net is uncommitted, and one op searches each of those nets once
+// in its first-retry region — with the unidirectional kernel over the
+// full endpoint sets, and with the bidirectional kernel between the two
+// pin cells.
+func BenchmarkSearchKernels(b *testing.B) {
+	spec := qc.BenchmarkSpec{Qubits: 4, Toffolis: 2, NOTs: 2, Seed: 1}
+	pl := placedChains(b, mustGen(b, spec), true, 100, 1)
+	r := newTestRouter(b, pl, DefaultOptions())
+	r.route()
+	if !r.grid.hasHist() {
+		b.Fatal("fixture charged no congestion history")
+	}
+	var nets []bridge.Net
+	for i, n := range r.nets {
+		if _, ok := r.routes[n.ID]; ok && i%4 == 0 {
+			r.uncommit(n.ID)
+			nets = append(nets, n)
+		}
+	}
+	maxExp := r.opts.MaxExpansions
+	margin := r.opts.InitialMargin + r.opts.ExpandStep
+	b.Run("uni", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			found := 0
+			for _, n := range nets {
+				ep := r.endpointsFor(n)
+				region := r.searchRegion(n, margin)
+				tbox := boundsIn(ep.targets, region)
+				if r.astarUni(n, ep.starts, ep.targets, tbox, region, true, maxExp) != nil {
+					found++
+				}
+			}
+			if found == 0 {
+				b.Fatal("no search found a path")
+			}
+		}
+	})
+	b.Run("bidi", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			found := 0
+			for _, n := range nets {
+				region := r.searchRegion(n, margin)
+				if r.astarBidi(n, r.pinCell[n.PinA], r.pinCell[n.PinB], region, true, maxExp) != nil {
+					found++
+				}
+			}
+			if found == 0 {
+				b.Fatal("no search found a path")
+			}
+		}
+	})
 }
